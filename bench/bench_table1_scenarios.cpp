@@ -115,6 +115,27 @@ void BM_SlotSimEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_SlotSimEpoch)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
+// The balancing attack keeps finality stalled, so the justified root
+// stays at genesis and every fork-choice call spans the whole tree.
+// CI gates time(32)/time(16) at 3.0 (tools/check_bench_speedup.py
+// --horizon): work linear in the horizon gives 2, while a per-slot cost
+// that rescans the whole tree or vote history pushes it toward 4 and
+// beyond.
+void BM_SlotSimBalancingEpoch(benchmark::State& state) {
+  for (auto _ : state) {
+    sim::SlotSimConfig sc;
+    sc.n_honest = 32;
+    sc.n_byzantine = 8;
+    sc.proposer_strategy = sim::ProposerStrategy::kBalancing;
+    sc.proposer_boost = 40;
+    sc.epochs = static_cast<std::size_t>(state.range(0));
+    benchmark::DoNotOptimize(sim::SlotSim(sc).run());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0) * 32);
+}
+BENCHMARK(BM_SlotSimBalancingEpoch)->Arg(16)->Arg(32)
+    ->Unit(benchmark::kMillisecond);
+
 // Thread-scaling sweep of the randomized-split partition trials.
 void BM_PartitionTrialsThreads(benchmark::State& state) {
   sim::PartitionTrialsConfig tc;

@@ -5,6 +5,7 @@
 
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "src/chain/blocktree.hpp"
 #include "src/chain/registry.hpp"
@@ -13,6 +14,11 @@ namespace leak::chain {
 
 /// Fork choice state: remembers each validator's latest block vote and
 /// selects the head by greedily descending into the heaviest subtree.
+///
+/// Weights come from one pass over the votes: each counted vote's
+/// balance (and the proposer boost) lands on its block's dense index,
+/// then a reverse-insertion-order sweep folds every block into its
+/// parent, so each subtree sum is ready before the descent starts.
 class ForkChoice {
  public:
   ForkChoice(const BlockTree& tree, const ValidatorRegistry& registry);
@@ -35,6 +41,7 @@ class ForkChoice {
   [[nodiscard]] Digest head(const Digest& justified_root, Epoch e) const;
 
   /// Total stake voting inside the subtree rooted at `root` at epoch `e`.
+  /// Throws std::out_of_range when `root` is not in the tree.
   [[nodiscard]] Gwei subtree_weight(const Digest& root, Epoch e) const;
 
  private:
@@ -42,6 +49,12 @@ class ForkChoice {
     Digest block{};
     Slot slot{};
   };
+
+  /// Subtree weight of `root` and of every block inserted after it, at
+  /// offset `i - root`.  Only descendants of root are exact; entries of
+  /// other blocks are partial sums that are never read.
+  [[nodiscard]] std::vector<Gwei> subtree_weights(BlockTree::Index root,
+                                                  Epoch e) const;
 
   const BlockTree& tree_;
   const ValidatorRegistry& registry_;

@@ -24,20 +24,27 @@ class SafetyMonitor {
   explicit SafetyMonitor(const chain::BlockTree& tree);
 
   /// Report a finalized checkpoint; returns a violation if this
-  /// checkpoint conflicts with any previously reported one.
+  /// checkpoint conflicts with any previously reported one (the pair
+  /// names the first conflicting checkpoint in first-seen order).
+  /// Reporting the same conflicting checkpoint again returns the
+  /// violation again.
   std::optional<SafetyViolation> report(const Checkpoint& c);
 
   [[nodiscard]] bool violated() const { return violation_.has_value(); }
   [[nodiscard]] const std::optional<SafetyViolation>& violation() const {
     return violation_;
   }
+  /// The distinct checkpoints reported so far, in first-seen order.
   [[nodiscard]] const std::vector<Checkpoint>& reported() const {
-    return reported_;
+    return distinct_;
   }
 
  private:
   const chain::BlockTree& tree_;
-  std::vector<Checkpoint> reported_;
+  /// Every view reports the same finalized checkpoints, so the scan
+  /// runs over distinct ones only: a repeat conflicts exactly when its
+  /// first occurrence does.
+  std::vector<Checkpoint> distinct_;
   std::optional<SafetyViolation> violation_;
 };
 

@@ -435,7 +435,8 @@ void register_slot_protocol(ScenarioRegistry& r) {
       .add_double("gst_epoch",
                   "epoch at which the partition heals (0 = no partition)",
                   0.0, 0.0, 1e6)
-      .add_double("delta", "network delay bound in seconds", 1.0, 0.0, 60.0)
+      .add_double("delta", "network delay bound in seconds", 1.0,
+                  sim::kMinMessageDelay, 60.0)
       .add_int("proposer_boost",
                "fork-choice proposer-boost percent (0 = off, mainnet 40)", 0,
                0, 100)
@@ -524,7 +525,8 @@ void register_balancing_attack(ScenarioRegistry& r) {
       .add_int("n_byzantine", "Byzantine (equivocating) validators", 8, 1,
                4096)
       .add_int("epochs", "horizon in epochs", 16, 1, 256)
-      .add_double("delta", "network delay bound in seconds", 1.0, 0.0, 60.0)
+      .add_double("delta", "network delay bound in seconds", 1.0,
+                  sim::kMinMessageDelay, 60.0)
       .add_double("release_delay",
                   "seconds before an equivocation sibling reaches its own "
                   "audience half (adversary release-timing knob)",
@@ -968,7 +970,8 @@ void register_flaky_network(ScenarioRegistry& r) {
       .add_double("gst_epoch",
                   "epoch at which the partition heals (0 = no partition)",
                   0.0, 0.0, 1e6)
-      .add_double("delta", "network delay bound in seconds", 1.0, 0.0, 60.0)
+      .add_double("delta", "network delay bound in seconds", 1.0,
+                  sim::kMinMessageDelay, 60.0)
       .add_int("proposer_boost",
                "fork-choice proposer-boost percent (0 = off, mainnet 40)", 0,
                0, 100)

@@ -36,7 +36,7 @@ struct SlotSim::Impl {
                 net::NetworkConfig{
                     .num_nodes = config.n_honest + config.n_byzantine,
                     .delta = config.delta,
-                    .min_delay = 0.05,
+                    .min_delay = kMinMessageDelay,
                     .gst = config.gst_epoch * 32.0 * kSecondsPerSlot,
                     .seed = config.seed,
                     .latency_episodes = config.latency_episodes,

@@ -40,6 +40,10 @@ enum class ProposerStrategy : std::uint8_t {
   kBalancing,
 };
 
+/// Fastest message delivery in the slot simulator's network, seconds.
+/// `SlotSimConfig::delta` must be at least this.
+inline constexpr double kMinMessageDelay = 0.05;
+
 struct SlotSimConfig {
   std::uint32_t n_honest = 32;
   std::uint32_t n_byzantine = 0;
@@ -48,7 +52,8 @@ struct SlotSimConfig {
   double p0 = 1.0;
   /// Epoch at which the partition heals (GST); 0 disables the partition.
   double gst_epoch = 0.0;
-  /// Network delay bound within a region / after GST, seconds.
+  /// Network delay bound within a region / after GST, seconds
+  /// (>= kMinMessageDelay).
   double delta = 1.0;
   /// What Byzantine proposers do with their slots.
   ProposerStrategy proposer_strategy = ProposerStrategy::kHonest;

@@ -181,6 +181,30 @@ TEST_F(TreeFixture, LeavesOnFork) {
   EXPECT_EQ(tree.leaves().size(), 2u);
 }
 
+TEST_F(TreeFixture, LeavesInInsertionOrder) {
+  // Forks off genesis inserted out of slot order relative to depth: the
+  // leaf list follows insertion, not slot or digest order.
+  const Block a1 = add(tree.genesis_id(), 1, 0);
+  const Block b2 = add(tree.genesis_id(), 2, 1);
+  const Block a3 = add(a1.id, 3, 2);
+  const Block c4 = add(tree.genesis_id(), 4, 3);
+  const Block b5 = add(b2.id, 5, 4);
+  EXPECT_EQ(tree.leaves(), (std::vector<Digest>{a3.id, c4.id, b5.id}));
+  EXPECT_EQ(tree.children(tree.genesis_id()),
+            (std::vector<Digest>{a1.id, b2.id, c4.id}));
+}
+
+TEST_F(TreeFixture, UnknownDigestBehaviour) {
+  const Block b1 = add(tree.genesis_id(), 1, 0);
+  const Digest unknown = crypto::sha256("never inserted");
+  EXPECT_THROW((void)tree.at(unknown), std::out_of_range);
+  EXPECT_THROW((void)tree.is_ancestor(unknown, b1.id), std::out_of_range);
+  EXPECT_THROW((void)tree.is_ancestor(b1.id, unknown), std::out_of_range);
+  EXPECT_THROW((void)tree.is_ancestor(unknown, unknown), std::out_of_range);
+  EXPECT_TRUE(tree.children(unknown).empty());
+  EXPECT_FALSE(tree.contains(unknown));
+}
+
 TEST_F(TreeFixture, CheckpointOnBranchUsesBoundaryOrEarlier) {
   const Block b1 = add(tree.genesis_id(), 1, 0);
   const Block b32 = add(b1.id, 32, 1);  // exactly at epoch-1 boundary

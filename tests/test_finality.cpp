@@ -172,5 +172,53 @@ TEST(SafetyMonitorTest, SameCheckpointTwiceIsFine) {
   EXPECT_FALSE(mon.report(Checkpoint{a.id, Epoch{1}}).has_value());
 }
 
+TEST(SafetyMonitorTest, RepeatedConflictReportsEveryTime) {
+  // Every view reports its finalized checkpoint: a conflicting one
+  // reported by two views is two violations, as the slot simulator's
+  // per-report count expects.
+  BlockTree tree;
+  const Block a = Block::make(tree.genesis_id(), Slot{32}, ValidatorIndex{0});
+  const Block b = Block::make(tree.genesis_id(), Slot{33}, ValidatorIndex{1});
+  tree.insert(a);
+  tree.insert(b);
+  SafetyMonitor mon(tree);
+  EXPECT_FALSE(mon.report(Checkpoint{a.id, Epoch{1}}).has_value());
+  EXPECT_FALSE(mon.report(Checkpoint{a.id, Epoch{1}}).has_value());
+  const auto first = mon.report(Checkpoint{b.id, Epoch{1}});
+  const auto second = mon.report(Checkpoint{b.id, Epoch{1}});
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->a, (Checkpoint{a.id, Epoch{1}}));
+  EXPECT_EQ(second->b, (Checkpoint{b.id, Epoch{1}}));
+  // The recorded violation is the first one; the distinct list holds
+  // each checkpoint once, in first-seen order.
+  EXPECT_EQ(mon.violation()->b, (Checkpoint{b.id, Epoch{1}}));
+  EXPECT_EQ(mon.reported(), (std::vector<Checkpoint>{{a.id, Epoch{1}},
+                                                      {b.id, Epoch{1}}}));
+}
+
+TEST(SafetyMonitorTest, PairNamesFirstConflictInFirstSeenOrder) {
+  // genesis -> a (slot 32) -> a2 (slot 64); genesis -> b (slot 33).
+  BlockTree tree;
+  const Block a = Block::make(tree.genesis_id(), Slot{32}, ValidatorIndex{0});
+  const Block b = Block::make(tree.genesis_id(), Slot{33}, ValidatorIndex{1});
+  const Block a2 = Block::make(a.id, Slot{64}, ValidatorIndex{2});
+  tree.insert(a);
+  tree.insert(b);
+  tree.insert(a2);
+  SafetyMonitor mon(tree);
+  const Checkpoint cp_a2{a2.id, Epoch{2}};
+  const Checkpoint cp_a{a.id, Epoch{1}};
+  const Checkpoint cp_b{b.id, Epoch{1}};
+  EXPECT_FALSE(mon.report(cp_a2).has_value());
+  EXPECT_FALSE(mon.report(cp_a).has_value());
+  EXPECT_FALSE(mon.report(cp_a2).has_value());  // repeat, no reordering
+  const auto v = mon.report(cp_b);
+  ASSERT_TRUE(v.has_value());
+  // Both a2 and a conflict with b; a2 was seen first.
+  EXPECT_EQ(v->a, cp_a2);
+  EXPECT_EQ(v->b, cp_b);
+}
+
 }  // namespace
 }  // namespace leak::finality

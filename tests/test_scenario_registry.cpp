@@ -253,6 +253,30 @@ TEST(ScenarioRegistryTest, SlotProtocolRunsTrialsDeterministically) {
   EXPECT_EQ(a.metric("mean_safety_violations"), 0.0);
 }
 
+TEST(ScenarioRegistryTest, SlotScenariosRejectDeltaBelowMinDelay) {
+  // The slot simulator's network delivers no faster than
+  // kMinMessageDelay, so a smaller delay bound must fail when the
+  // parameters are resolved, not halfway through a run.
+  for (const char* name :
+       {"slot-protocol", "balancing-attack", "flaky-network"}) {
+    const auto& sc = *builtin_registry().find(name);
+    auto params = sc.spec().defaults();
+    EXPECT_TRUE(sc.spec().apply_kv("delta=0", &params).has_value()) << name;
+    auto zero = sc.spec().defaults();
+    zero.set("delta", 0.0);
+    EXPECT_TRUE(sc.spec().validate(zero).has_value()) << name;
+    EXPECT_THROW((void)sc.run(zero), std::invalid_argument) << name;
+
+    ASSERT_FALSE(sc.spec().apply_kv("delta=0.05", &params).has_value())
+        << name;
+    params.set("paths", std::int64_t{1});
+    params.set("epochs", std::int64_t{2});
+    const auto res = sc.run(params);
+    ASSERT_TRUE(res.trials.has_value()) << name;
+    EXPECT_EQ(res.trials->rows(), 1u) << name;
+  }
+}
+
 TEST(ScenarioRegistryTest, Table1ScenarioExposesWitnesses) {
   const auto& sc = *builtin_registry().find("table1");
   const auto res = sc.run(sc.spec().defaults());
