@@ -46,7 +46,7 @@ class Sha256 {
 [[nodiscard]] Digest sha256(std::span<const std::uint8_t> data);
 /// One-shot hash of a string.
 [[nodiscard]] Digest sha256(std::string_view data);
-/// Hash of the concatenation of two digests (Merkle inner node).
+/// Hash of the concatenation of two digests.
 [[nodiscard]] Digest sha256_pair(const Digest& a, const Digest& b);
 
 /// Lowercase hex encoding of a digest.

@@ -151,8 +151,6 @@ struct PartitionSimResult {
   bool beta_exceeded_third_both = false;
   /// Number of validators of each class (derived from config).
   std::uint32_t n_byzantine = 0;
-  std::uint32_t n_honest_branch1 = 0;  ///< honest on branch 0 (legacy name)
-  std::uint32_t n_honest_branch2 = 0;  ///< honest on branch 1 (legacy name)
   std::vector<std::uint32_t> n_honest_per_branch;
   /// Epoch the last branch merged into branch 0; -1 when healing is
   /// disabled or the schedule ran past the horizon.

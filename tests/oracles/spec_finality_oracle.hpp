@@ -1,15 +1,21 @@
-// Spec-faithful Gasper epoch accounting: the 4-bit justification
-// bitfield and the four finalization rules of
-// `process_justification_and_finalization` (Combining GHOST and Casper,
-// and the consensus specs).  The paper works with the simplified
-// "two consecutive justified checkpoints" rule; this module implements
-// the full rule so the simplification can be validated against it:
+// Spec-faithful Gasper epoch accounting, kept as a test oracle.
+//
+// GasperFinalizer implements the 4-bit justification bitfield and the
+// four finalization rules of `process_justification_and_finalization`
+// (Combining GHOST and Casper, and the consensus specs).  The paper, and
+// production code (src/finality/ffg.*), work with the simplified "two
+// consecutive justified checkpoints" rule; this oracle exists only so
+// tests/test_spec_finality.cpp can check the simplification against the
+// full rule set.
 //
 // with bits b[0] = current epoch justified, b[1] = previous, ...:
 //   1. b[1..3] all set and old_previous + 3 == current  -> finalize old_previous
 //   2. b[1..2] all set and old_previous + 2 == current  -> finalize old_previous
 //   3. b[0..2] all set and old_current  + 2 == current  -> finalize old_current
 //   4. b[0..1] all set and old_current  + 1 == current  -> finalize old_current
+//
+// Do not "fix" or modernize this code: its value is that it does not
+// change.
 #pragma once
 
 #include <array>
@@ -18,7 +24,7 @@
 
 #include "src/chain/block.hpp"
 
-namespace leak::finality {
+namespace leak::oracle {
 
 /// The sliding 4-epoch justification window.
 class JustificationBits {
@@ -87,4 +93,4 @@ class GasperFinalizer {
   Epoch last_processed_{0};
 };
 
-}  // namespace leak::finality
+}  // namespace leak::oracle

@@ -158,8 +158,9 @@ TEST(Mechanics, CountsFollowProportions) {
   cfg.max_epochs = 10;
   const auto r = run_partition_sim(cfg);
   EXPECT_EQ(r.n_byzantine, 50u);
-  EXPECT_EQ(r.n_honest_branch1, 60u);
-  EXPECT_EQ(r.n_honest_branch2, 90u);
+  ASSERT_EQ(r.n_honest_per_branch.size(), 2u);
+  EXPECT_EQ(r.n_honest_per_branch[0], 60u);
+  EXPECT_EQ(r.n_honest_per_branch[1], 90u);
 }
 
 TEST(Mechanics, InvalidConfigThrows) {

@@ -1,11 +1,17 @@
 // Tests for the spec-faithful 4-bit justification window and the four
-// Gasper finalization rules, including agreement with the paper's
-// simplified "two consecutive justified checkpoints" rule.
+// Gasper finalization rules (the oracle in tests/oracles/), including
+// agreement with the paper's simplified "two consecutive justified
+// checkpoints" rule that production code implements in FfgTracker.
 #include <gtest/gtest.h>
 
-#include "src/finality/justification_bits.hpp"
+#include <tuple>
 
-namespace leak::finality {
+#include "src/chain/blocktree.hpp"
+#include "src/finality/ffg.hpp"
+#include "src/support/random.hpp"
+#include "tests/oracles/spec_finality_oracle.hpp"
+
+namespace leak::oracle {
 namespace {
 
 using chain::Checkpoint;
@@ -169,5 +175,84 @@ TEST_F(FinalizerFixture, JustifiedNeverRegresses) {
   EXPECT_EQ(fin.justified().epoch, Epoch{2});
 }
 
+// Differential check of FfgTracker against the spec's rules.  A seeded
+// linear chain (some slots left empty) is voted on epoch by epoch, each
+// validator joining with probability p.  Every vote is timely: its
+// source is the tracker's justified checkpoint and its target the
+// epoch-e checkpoint.  With timely votes only, the spec's rule 4 is the
+// simplified rule, so both must report the same justified and finalized
+// checkpoints after every epoch, and no other rule may advance
+// finality.  (Rule 2 does fire in an unjustified epoch that follows two
+// justified ones, but it only re-finalizes the checkpoint rule 4
+// finalized one epoch earlier.)
+class TimelyVotesDifferential
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>> {};
+
+TEST_P(TimelyVotesDifferential, TrackerMatchesSpecRules) {
+  const auto [seed, p] = GetParam();
+  constexpr std::uint32_t kValidators = 30;
+  constexpr std::uint64_t kEpochs = 40;
+  Rng rng(seed);
+  chain::BlockTree tree;
+  const chain::ValidatorRegistry registry(kValidators);
+  const Checkpoint genesis{tree.genesis_id(), Epoch{0}};
+  finality::FfgTracker ffg(registry, genesis);
+  GasperFinalizer spec(genesis);
+
+  chain::Digest head = tree.genesis_id();
+  std::uint64_t next_slot = 1;
+  int rule4 = 0;
+  for (std::uint64_t e = 1; e <= kEpochs; ++e) {
+    // Extend the chain through the first slot of epoch e.
+    for (; next_slot <= Epoch{e}.start_slot().value(); ++next_slot) {
+      if (!rng.bernoulli(0.8)) continue;
+      const auto b = chain::Block::make(
+          head, Slot{next_slot},
+          ValidatorIndex{static_cast<std::uint32_t>(next_slot % kValidators)});
+      tree.insert(b);
+      head = b.id;
+    }
+    const Checkpoint source = ffg.justified();
+    const Checkpoint target = tree.checkpoint_on_branch(head, Epoch{e});
+    for (std::uint32_t v = 0; v < kValidators; ++v) {
+      if (!rng.bernoulli(p)) continue;
+      chain::Attestation a;
+      a.attester = ValidatorIndex{v};
+      a.slot = Epoch{e}.start_slot();
+      a.source = source;
+      a.target = target;
+      ffg.on_checkpoint_vote(a);
+    }
+    const auto justified = ffg.process_epoch(Epoch{e});
+
+    GasperFinalizer::EpochInput in;
+    in.current = Epoch{e};
+    in.current_justified_now = justified.has_value();
+    in.current_target = target;
+    const Checkpoint finalized_before = spec.finalized();
+    const auto out = spec.process(in);
+
+    if (out.finalization_rule == 4) {
+      ++rule4;
+    } else if (out.finalization_rule != 0) {
+      EXPECT_EQ(out.finalization_rule, 2) << "epoch " << e;
+      EXPECT_EQ(spec.finalized(), finalized_before) << "epoch " << e;
+    }
+    EXPECT_EQ(ffg.justified(), spec.justified()) << "epoch " << e;
+    EXPECT_EQ(ffg.finalized(), spec.finalized()) << "epoch " << e;
+  }
+  // Full participation justifies every epoch, so every epoch finalizes
+  // its predecessor.
+  if (p == 1.0) {
+    EXPECT_EQ(rule4, static_cast<int>(kEpochs));
+    EXPECT_EQ(spec.finalized().epoch, Epoch{kEpochs - 1});
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsByParticipation, TimelyVotesDifferential,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 5u, 8u),
+                       ::testing::Values(0.6, 0.7, 0.8, 1.0)));
+
 }  // namespace
-}  // namespace leak::finality
+}  // namespace leak::oracle
