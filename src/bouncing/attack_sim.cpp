@@ -24,7 +24,8 @@ struct RunOutcome {
   std::int64_t break_epoch = -1;
 };
 
-RunOutcome simulate_attack_run(const AttackSimConfig& cfg, Rng rng) {
+RunOutcome simulate_attack_run(const AttackSimConfig& cfg, Rng rng,
+                               kernel::LeakCohort& cohort) {
   RunOutcome out;
   const std::size_t n = cfg.honest_validators;
   // Honest stake/score from branch A's viewpoint rides the SoA
@@ -32,11 +33,8 @@ RunOutcome simulate_attack_run(const AttackSimConfig& cfg, Rng rng) {
   // draw, then one uniform per live validator in index order — exactly
   // the scalar oracle's consumption order — and the update pass is
   // branchless over the lanes.  Byzantine validators are semi-active
-  // on A (active every other epoch), scalar as before.  Scratch is per
-  // worker thread, reused across the runs it claims — purely an
-  // allocation cache, fully re-initialized per run.
-  // leaklint: allow(D5): per-thread allocation cache only; contents fully re-initialized per run, results bit-identical across thread counts
-  static thread_local kernel::LeakCohort cohort;
+  // on A (active every other epoch), scalar as before.  `cohort` is the
+  // caller's block-local scratch, fully re-initialized per run.
   cohort.reset(n, cfg.model);
   double byz_stake = cfg.model.initial_stake;
   double byz_score = 0.0;
@@ -82,76 +80,51 @@ RunOutcome simulate_attack_run(const AttackSimConfig& cfg, Rng rng) {
   return out;
 }
 
-/// Order-fed aggregate shared by the full and summary modes: the
-/// duration summary and the break count see runs in ascending run
-/// order in both, so every derived statistic is bit-identical.
-struct AttackTally {
-  kernel::DurationSummary durations;
-  std::size_t broken = 0;
-  void add(const RunOutcome& out) {
-    durations.add(out.duration);
-    if (out.break_epoch >= 0) ++broken;
-  }
-};
-
 }  // namespace
 
 AttackSimResult run_attack_sim(const AttackSimConfig& cfg) {
   if (cfg.runs == 0 || cfg.honest_validators == 0) {
     throw std::invalid_argument("run_attack_sim: empty configuration");
   }
-  // Run i always draws from the (seed, i) stream, so the result is
-  // bit-identical for every (block, threads) combination in either
-  // mode.
-  const StreamSeeder seeder(cfg.seed);
-  const runner::TrialRunner pool(cfg.threads);
-  const std::size_t block = runner::resolve_block(cfg.block);
   AttackSimResult res;
-  AttackTally tally;
-  if (cfg.keep_runs) {
-    // Full mode: block-scheduled fan-out straight into the result's
-    // preallocated slabs (no merge step), then aggregate in run order.
-    res.durations.assign(cfg.runs, 0);
-    std::vector<std::int64_t> break_epochs(cfg.runs, -1);
-    pool.run_blocks(cfg.runs, block,
-                    [&](std::size_t begin, std::size_t end) {
-                      for (std::size_t run = begin; run < end; ++run) {
-                        const auto out =
-                            simulate_attack_run(cfg, seeder.stream(run));
-                        res.durations[run] = out.duration;
-                        break_epochs[run] = out.break_epoch;
-                      }
-                    });
-    // Compact the successful runs in run order.
-    for (std::size_t run = 0; run < cfg.runs; ++run) {
-      tally.add(RunOutcome{res.durations[run], break_epochs[run]});
-      if (break_epochs[run] >= 0) {
-        res.break_epochs.push_back(
-            static_cast<std::uint64_t>(break_epochs[run]));
+  res.durations.assign(cfg.runs, 0);
+
+  // Run i always draws from the (seed, i) stream, and each block's
+  // outcomes fold in ascending block order through the runner's
+  // ordered reduction, so the duration summary and the break count see
+  // runs in index order: bit-identical for every (block, threads).
+  struct OutcomeFold {
+    AttackSimResult* res;
+    kernel::DurationSummary durations{};
+    std::size_t broken = 0;
+    void fold(std::size_t begin, std::size_t,
+              std::vector<RunOutcome>&& outcomes) {
+      for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        const RunOutcome& out = outcomes[i];
+        durations.add(out.duration);
+        res->durations[begin + i] = out.duration;
+        if (out.break_epoch >= 0) {
+          ++broken;
+          res->break_epochs.push_back(
+              static_cast<std::uint64_t>(out.break_epoch));
+        }
       }
     }
-  } else {
-    // Summary mode: per-block outcome slabs fold through the ordered
-    // reduction tree in ascending block order — the same add() calls
-    // in the same run order as full mode, without the O(runs) slabs.
-    struct OutcomeFold {
-      AttackTally* tally;
-      void fold(std::size_t, std::size_t,
-                std::vector<RunOutcome>&& outcomes) const {
-        for (const auto& out : outcomes) tally->add(out);
-      }
-    };
-    (void)pool.run_reduce(cfg.runs, block, OutcomeFold{&tally},
-                          [&](std::size_t begin, std::size_t end) {
-                            std::vector<RunOutcome> outcomes;
-                            outcomes.reserve(end - begin);
-                            for (std::size_t run = begin; run < end; ++run) {
-                              outcomes.push_back(simulate_attack_run(
-                                  cfg, seeder.stream(run)));
-                            }
-                            return outcomes;
-                          });
-  }
+  };
+  const StreamSeeder seeder(cfg.seed);
+  const runner::TrialRunner pool(cfg.threads);
+  const auto tally = pool.run_reduce(
+      cfg.runs, runner::resolve_block(cfg.block), OutcomeFold{&res},
+      [&](std::size_t begin, std::size_t end) {
+        kernel::LeakCohort cohort;
+        std::vector<RunOutcome> outcomes;
+        outcomes.reserve(end - begin);
+        for (std::size_t run = begin; run < end; ++run) {
+          outcomes.push_back(
+              simulate_attack_run(cfg, seeder.stream(run), cohort));
+        }
+        return outcomes;
+      });
 
   res.prob_threshold_broken =
       static_cast<double>(tally.broken) / static_cast<double>(cfg.runs);

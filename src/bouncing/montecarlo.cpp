@@ -15,8 +15,11 @@ namespace leak::bouncing {
 
 namespace {
 
-void validate_grid(const McConfig& cfg,
-                   const std::vector<std::size_t>& snapshot_epochs) {
+void validate(const McConfig& cfg,
+              const std::vector<std::size_t>& snapshot_epochs) {
+  if (cfg.paths == 0) {
+    throw std::invalid_argument("run_bouncing_mc: no paths");
+  }
   // The grid must be strictly increasing: a path records one value per
   // matched epoch, so duplicates would leave the merge reading past it.
   if (snapshot_epochs.empty() ||
@@ -35,109 +38,74 @@ void validate_grid(const McConfig& cfg,
 
 McResult run_bouncing_mc(const McConfig& cfg,
                          const std::vector<std::size_t>& snapshot_epochs) {
-  validate_grid(cfg, snapshot_epochs);
+  validate(cfg, snapshot_epochs);
   McResult res;
   res.epochs = snapshot_epochs;
   const std::size_t snapshots = snapshot_epochs.size();
+  if (cfg.keep_paths) {
+    res.stakes.assign(snapshots, std::vector<double>(cfg.paths));
+  }
+
+  // Each block fills a transient snapshots x block slab; the runner's
+  // ordered reduction folds the slabs in ascending block order, so
+  // every accumulator sees paths in index order (bit-identical for any
+  // block/threads) and, with keep_paths, each row lands at its global
+  // path index.  Peak transient memory is O(threads x block x
+  // snapshots).
   kernel::SnapshotAccumulators acc(cfg.branches, cfg.beta0, cfg.model,
                                    snapshot_epochs);
-  const auto finalize = [&] {
-    acc.finalize(cfg.paths, &res.ejected_fraction, &res.capped_fraction,
-                 &res.prob_beta_exceeds, &res.median_alive_estimate,
-                 &res.stake_stats);
-  };
-
-  const std::size_t block = runner::resolve_block(cfg.block);
-  const StreamSeeder seeder(cfg.seed);
-  const runner::TrialRunner pool(cfg.threads);
-
-  if (cfg.keep_paths) {
-    // Full mode: blocks write disjoint column ranges of the
-    // preallocated matrix — no merge step, no per-path allocation —
-    // and the summaries stream over the finished rows in path order.
-    res.stakes.assign(snapshots, std::vector<double>(cfg.paths));
-    std::vector<double*> rows(snapshots);
-    for (std::size_t k = 0; k < snapshots; ++k) {
-      rows[k] = res.stakes[k].data();
-    }
-    pool.run_blocks(cfg.paths, block,
-                    [&](std::size_t begin, std::size_t end) {
-                      // One scratch per worker thread, reused across
-                      // the blocks it claims (reset() re-seeds without
-                      // reallocating).  Purely an allocation cache:
-                      // every value in it is re-derived from the
-                      // (seed, path) stream before use, so thread
-                      // placement can never reach the results
-                      // (enforced by the oracle-vs-batched
-                      // bit-identity suite).
-                      // leaklint: allow(D5): per-thread allocation cache only; contents fully re-seeded per block, results bit-identical across thread counts
-                      static thread_local kernel::BatchPaths scratch;
-                      kernel::simulate_stake_block(
-                          cfg.model, cfg.p0, cfg.epochs, snapshot_epochs,
-                          seeder, begin, end - begin, scratch, rows.data(),
-                          begin);
-                    });
-    for (std::size_t k = 0; k < snapshots; ++k) {
-      for (std::size_t p = 0; p < cfg.paths; ++p) {
-        acc.add(k, res.stakes[k][p]);
-      }
-    }
-  } else {
-    // Summary mode: each block fills a transient snapshots x block
-    // slab, folded into the accumulators in ascending block order by
-    // the runner's ordered reduction tree, so peak memory is
-    // O(threads x block x snapshots) and every accumulator still sees
-    // paths in index order.
-    struct BlockSlab {
-      std::size_t n_paths = 0;
-      std::vector<double> data;  ///< row-major [snapshot][path in block]
-    };
-    struct SlabFold {
-      kernel::SnapshotAccumulators* acc;
-      std::size_t snapshots;
-      void fold(std::size_t, std::size_t, BlockSlab&& slab) const {
-        for (std::size_t k = 0; k < snapshots; ++k) {
-          const double* row = slab.data.data() + k * slab.n_paths;
-          for (std::size_t i = 0; i < slab.n_paths; ++i) {
-            acc->add(k, row[i]);
-          }
+  struct SlabFold {
+    kernel::SnapshotAccumulators* acc;
+    std::vector<std::vector<double>>* stakes;  ///< empty unless keep_paths
+    std::size_t snapshots;
+    void fold(std::size_t begin, std::size_t end,
+              std::vector<double>&& slab) const {
+      const std::size_t n = end - begin;
+      for (std::size_t k = 0; k < snapshots; ++k) {
+        const double* row = slab.data() + k * n;
+        for (std::size_t i = 0; i < n; ++i) acc->add(k, row[i]);
+        if (!stakes->empty()) {
+          std::copy_n(row, n, (*stakes)[k].data() + begin);
         }
       }
-    };
-    (void)pool.run_reduce(
-        cfg.paths, block, SlabFold{&acc, snapshots},
-        [&](std::size_t begin, std::size_t end) {
-          BlockSlab slab;
-          slab.n_paths = end - begin;
-          slab.data.resize(snapshots * slab.n_paths);
-          std::vector<double*> rows(snapshots);
-          for (std::size_t k = 0; k < snapshots; ++k) {
-            rows[k] = slab.data.data() + k * slab.n_paths;
-          }
-          // Same allocation-cache pattern as the keep-paths branch.
-          // leaklint: allow(D5): per-thread allocation cache only; contents fully re-seeded per block, results bit-identical across thread counts
-          static thread_local kernel::BatchPaths scratch;
-          kernel::simulate_stake_block(cfg.model, cfg.p0, cfg.epochs,
-                                       snapshot_epochs, seeder, begin,
-                                       slab.n_paths, scratch, rows.data(), 0);
-          return slab;
-        });
-  }
-  finalize();
+    }
+  };
+  const StreamSeeder seeder(cfg.seed);
+  const runner::TrialRunner pool(cfg.threads);
+  (void)pool.run_reduce(
+      cfg.paths, runner::resolve_block(cfg.block),
+      SlabFold{&acc, &res.stakes, snapshots},
+      [&](std::size_t begin, std::size_t end) {
+        const std::size_t n = end - begin;
+        std::vector<double> slab(snapshots * n);  // row-major [snapshot][path]
+        std::vector<double*> rows(snapshots);
+        for (std::size_t k = 0; k < snapshots; ++k) {
+          rows[k] = slab.data() + k * n;
+        }
+        kernel::BatchPaths scratch;
+        kernel::simulate_stake_block(cfg.model, cfg.p0, cfg.epochs,
+                                     snapshot_epochs, seeder, begin, n,
+                                     scratch, rows.data());
+        return slab;
+      });
+  acc.finalize(cfg.paths, &res.ejected_fraction, &res.capped_fraction,
+               &res.prob_beta_exceeds, &res.median_alive_estimate,
+               &res.stake_stats);
   return res;
 }
 
-PopulationRunResult run_population_bouncing(const PopulationRunConfig& cfg) {
+namespace {
+
+/// run_population_bouncing over caller-owned cohort scratch, so the
+/// ensemble reuses one cohort across the paths of a block.
+PopulationRunResult population_run(const PopulationRunConfig& cfg,
+                                   kernel::LeakCohort& cohort) {
   PopulationRunResult res;
   Rng rng(cfg.seed);
   const std::uint32_t n = cfg.honest_validators;
   // Honest cohort rides the SoA draw/update kernel: one uniform per
   // live validator in index order (exactly the scalar oracle's stream
-  // consumption), then a branchless vectorized update pass.  Scratch
-  // is per worker thread, reused across the runs it claims — purely an
-  // allocation cache, fully re-initialized per call.
-  // leaklint: allow(D5): per-thread allocation cache only; contents fully re-initialized per run, results bit-identical across thread counts
-  static thread_local kernel::LeakCohort cohort;
+  // consumption), then a branchless vectorized update pass.
   cohort.reset(n, cfg.model);
 
   // Byzantine stake per validator-equivalent; they are semi-active on
@@ -177,94 +145,66 @@ PopulationRunResult run_population_bouncing(const PopulationRunConfig& cfg) {
   return res;
 }
 
-namespace {
-
-/// Order-fed aggregate shared by the population ensemble's full and
-/// summary modes: integer count plus an ascending-index double sum, so
-/// both modes produce bit-identical fractions.
-struct PopulationTally {
-  std::size_t exceeded = 0;
-  double beta_sum = 0.0;
-  void add(std::int64_t first_exceed_epoch, double final_beta) {
-    if (first_exceed_epoch >= 0) ++exceeded;
-    beta_sum += final_beta;
-  }
-};
-
 /// One path's surviving scalars.
 struct PopulationOutcome {
   std::int64_t first_exceed_epoch = -1;
   double final_beta = 0.0;
 };
 
-PopulationOutcome population_outcome(const PopulationRunConfig& base,
-                                     const StreamSeeder& seeder,
-                                     std::size_t path) {
-  PopulationRunConfig per_path = base;
-  per_path.seed = seeder.seed_for(path);
-  const auto r = run_population_bouncing(per_path);
-  PopulationOutcome out;
-  out.first_exceed_epoch = r.first_exceed_epoch;
-  if (!r.beta_trajectory.empty()) out.final_beta = r.beta_trajectory.back();
-  return out;
-}
-
 }  // namespace
+
+PopulationRunResult run_population_bouncing(const PopulationRunConfig& cfg) {
+  kernel::LeakCohort cohort;
+  return population_run(cfg, cohort);
+}
 
 PopulationEnsembleResult run_population_ensemble(
     const PopulationEnsembleConfig& cfg) {
   if (cfg.paths == 0) {
     throw std::invalid_argument("run_population_ensemble: no paths");
   }
-  const StreamSeeder seeder(cfg.base.seed);
-  const runner::TrialRunner pool(cfg.threads);
-  const std::size_t block = runner::resolve_block(cfg.block);
-
   PopulationEnsembleResult res;
-  PopulationTally tally;
-  if (cfg.keep_paths) {
-    // Full mode: block-scheduled fan-out into preallocated outcome
-    // slabs (only the two scalars the ensemble aggregates survive a
-    // path, never its full trajectory), then aggregate in path order.
-    res.first_exceed_epochs.assign(cfg.paths, -1);
-    std::vector<double> final_beta(cfg.paths, 0.0);
-    pool.run_blocks(cfg.paths, block,
-                    [&](std::size_t begin, std::size_t end) {
-                      for (std::size_t path = begin; path < end; ++path) {
-                        const auto out =
-                            population_outcome(cfg.base, seeder, path);
-                        res.first_exceed_epochs[path] = out.first_exceed_epoch;
-                        final_beta[path] = out.final_beta;
-                      }
-                    });
-    for (std::size_t path = 0; path < cfg.paths; ++path) {
-      tally.add(res.first_exceed_epochs[path], final_beta[path]);
-    }
-  } else {
-    // Summary mode: per-block outcome slabs fold through the ordered
-    // reduction tree in ascending block order — the same add() calls
-    // in the same path order as full mode, without the O(paths) slabs.
-    struct OutcomeFold {
-      PopulationTally* tally;
-      void fold(std::size_t, std::size_t,
-                std::vector<PopulationOutcome>&& outcomes) const {
-        for (const auto& out : outcomes) {
-          tally->add(out.first_exceed_epoch, out.final_beta);
+  if (cfg.keep_paths) res.first_exceed_epochs.assign(cfg.paths, -1);
+
+  // Each block returns its paths' outcomes; the ordered reduction
+  // folds them in ascending block order, so the count and the double
+  // sum see paths in index order (bit-identical for any block/threads)
+  // and, with keep_paths, each outcome lands at its global path index.
+  struct OutcomeFold {
+    std::vector<std::int64_t>* first_exceed_epochs;  ///< empty unless kept
+    std::size_t exceeded = 0;
+    double beta_sum = 0.0;
+    void fold(std::size_t begin, std::size_t,
+              std::vector<PopulationOutcome>&& outcomes) {
+      for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        if (outcomes[i].first_exceed_epoch >= 0) ++exceeded;
+        beta_sum += outcomes[i].final_beta;
+        if (!first_exceed_epochs->empty()) {
+          (*first_exceed_epochs)[begin + i] = outcomes[i].first_exceed_epoch;
         }
       }
-    };
-    (void)pool.run_reduce(cfg.paths, block, OutcomeFold{&tally},
-                          [&](std::size_t begin, std::size_t end) {
-                            std::vector<PopulationOutcome> outcomes;
-                            outcomes.reserve(end - begin);
-                            for (std::size_t path = begin; path < end;
-                                 ++path) {
-                              outcomes.push_back(
-                                  population_outcome(cfg.base, seeder, path));
-                            }
-                            return outcomes;
-                          });
-  }
+    }
+  };
+  const StreamSeeder seeder(cfg.base.seed);
+  const runner::TrialRunner pool(cfg.threads);
+  const auto tally = pool.run_reduce(
+      cfg.paths, runner::resolve_block(cfg.block),
+      OutcomeFold{&res.first_exceed_epochs},
+      [&](std::size_t begin, std::size_t end) {
+        kernel::LeakCohort cohort;
+        PopulationRunConfig per_path = cfg.base;
+        std::vector<PopulationOutcome> outcomes(end - begin);
+        for (std::size_t path = begin; path < end; ++path) {
+          per_path.seed = seeder.seed_for(path);
+          const auto r = population_run(per_path, cohort);
+          auto& out = outcomes[path - begin];
+          out.first_exceed_epoch = r.first_exceed_epoch;
+          if (!r.beta_trajectory.empty()) {
+            out.final_beta = r.beta_trajectory.back();
+          }
+        }
+        return outcomes;
+      });
   res.exceed_fraction =
       static_cast<double>(tally.exceeded) / static_cast<double>(cfg.paths);
   res.mean_final_beta = tally.beta_sum / static_cast<double>(cfg.paths);

@@ -37,11 +37,10 @@ struct McConfig {
   /// tuned default.  Results are bit-identical for any value,
   /// including block = 1 and block = paths.
   std::size_t block = 0;
-  /// When false, the full per-path stake matrix is never materialized:
-  /// McResult::stakes stays empty and only the streaming per-snapshot
-  /// summaries are filled, so memory is O(snapshots x block) transient
-  /// instead of O(snapshots x paths).  The summaries themselves are
-  /// bit-identical between the two modes.
+  /// Whether McResult::stakes keeps the per-path matrix.  The
+  /// summaries come from the same ordered fold either way; false only
+  /// skips storing the rows, so memory stays O(threads x block x
+  /// snapshots) instead of O(snapshots x paths).
   bool keep_paths = true;
   analytic::AnalyticConfig model = analytic::AnalyticConfig::paper();
 };
@@ -51,7 +50,7 @@ struct McResult {
   /// Epoch grid at which snapshots were taken.
   std::vector<std::size_t> epochs;
   /// stakes[k][i] = stake of path i at epochs[k] (0 when ejected).
-  /// Empty when cfg.keep_paths == false (summary mode).
+  /// Empty when cfg.keep_paths == false.
   std::vector<std::vector<double>> stakes;
   /// Fraction of paths ejected by epochs[k].
   std::vector<double> ejected_fraction;
@@ -60,13 +59,13 @@ struct McResult {
   /// Empirical P[beta(t) > 1/3] at epochs[k] (Eq 23 criterion against
   /// the semi-active Byzantine stake, one branch).
   std::vector<double> prob_beta_exceeds;
-  /// Streaming per-snapshot summaries, filled in both modes (fed in
-  /// path order, so bit-identical for any block/threads/mode):
+  /// Streaming per-snapshot summaries, always filled (fed in path
+  /// order, so bit-identical for any block/threads/keep_paths):
   /// moments of the full censored sample at epochs[k]...
   std::vector<RunningStats> stake_stats;
   /// ...and the P-squared estimate of the median of the *alive*
   /// (stake > 0) paths at epochs[k] (0 when every path is ejected).
-  /// In full mode the exact sample median is available from `stakes`.
+  /// With keep_paths the exact sample median is available from `stakes`.
   std::vector<double> median_alive_estimate;
 };
 
@@ -102,23 +101,21 @@ PopulationRunResult run_population_bouncing(const PopulationRunConfig& cfg);
 
 /// Ensemble of independent finite-population runs ("population
 /// paths"): path i re-runs run_population_bouncing with the seed of
-/// stream (cfg.base.seed, i), block-scheduled across the trial runner
-/// into preallocated outcome slabs.
+/// stream (cfg.base.seed, i), block-scheduled across the trial runner's
+/// ordered reduction.
 struct PopulationEnsembleConfig {
   PopulationRunConfig base;   ///< base.seed is the ensemble master seed
   std::size_t paths = 100;
   unsigned threads = 0;       ///< 0 = LEAK_THREADS / hardware_concurrency
   std::size_t block = 0;      ///< paths per block; 0 = LEAK_BLOCK / default
-  /// When false, the per-path outcome slab is never materialized:
-  /// first_exceed_epochs stays empty and only the aggregate fractions
-  /// are filled via the runner's ordered reduction tree.  The
-  /// aggregates are bit-identical between the two modes.
+  /// Whether first_exceed_epochs keeps the per-path outcomes.  The
+  /// aggregates come from the same ordered fold either way.
   bool keep_paths = true;
 };
 
 struct PopulationEnsembleResult {
   /// Per path: epoch when beta first exceeded 1/3 on branch A; -1 never.
-  /// Empty when cfg.keep_paths == false (summary mode).
+  /// Empty when cfg.keep_paths == false.
   std::vector<std::int64_t> first_exceed_epochs;
   /// Fraction of paths whose beta ever exceeded 1/3.
   double exceed_fraction = 0.0;

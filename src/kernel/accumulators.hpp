@@ -1,10 +1,9 @@
-// Order-fed streaming accumulators shared by the Monte Carlo drivers'
-// full and summary modes (and by the scalar test oracles, so oracle
-// results stay comparable bit-for-bit).  Every accumulator here is a
-// pure function of its insertion sequence; the drivers feed them in
-// trial index order — serially in full mode, via the runner's ordered
-// reduction tree in summary mode — which is what makes summary mode
-// bit-identical to full mode and to every (block, threads) pair.
+// Order-fed streaming accumulators shared by the Monte Carlo drivers
+// (and by the scalar test oracles, so oracle results stay comparable
+// bit-for-bit).  Every accumulator here is a pure function of its
+// insertion sequence; the drivers feed them in trial index order via
+// the runner's ordered reduction tree, which is what makes every
+// (block, threads) pair bit-identical.
 #pragma once
 
 #include <cstddef>

@@ -21,7 +21,7 @@
 namespace leak::kernel {
 
 /// Structure-of-arrays stake/score state for one run's honest cohort.
-/// One instance is reused across the runs a worker claims; reset()
+/// One instance is reused across the runs of a block; reset()
 /// re-initializes without reallocating.
 class LeakCohort {
  public:

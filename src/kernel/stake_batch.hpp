@@ -26,9 +26,8 @@
 
 namespace leak::kernel {
 
-/// Structure-of-arrays state for a block of lockstep paths.  One
-/// instance is reused across the blocks a worker claims; reset()
-/// re-seeds it for a new block without reallocating.
+/// Structure-of-arrays state for a block of lockstep paths, seeded by
+/// reset() for the block it simulates.
 class BatchPaths {
  public:
   /// Seed paths [first_path, first_path + n_paths): stake at the
@@ -69,19 +68,16 @@ class BatchPaths {
 };
 
 /// Simulate paths [first_path, first_path + n_paths) for `epochs`
-/// epochs and record their stake at each snapshot epoch:
-/// rows[k][out_offset + i] receives the stake of path first_path + i
-/// at snaps[k] (0.0 once ejected).  The caller passes out_offset =
-/// first_path to write straight into the full per-path matrix, or 0 to
-/// fill a block-local slab.  `snaps` must be valid per
-/// run_bouncing_mc's grid contract (the drivers validate before
-/// fanning out).  `scratch` is reset here; passing the same instance
-/// across calls reuses its allocations.
+/// epochs and record their stake at each snapshot epoch: rows[k][i]
+/// receives the stake of path first_path + i at snaps[k] (0.0 once
+/// ejected).  `snaps` must be valid per run_bouncing_mc's grid
+/// contract (the driver validates before fanning out).  `scratch` is
+/// reset here.
 void simulate_stake_block(const analytic::AnalyticConfig& model, double p0,
                           std::size_t epochs,
                           const std::vector<std::size_t>& snaps,
                           const StreamSeeder& seeder, std::size_t first_path,
                           std::size_t n_paths, BatchPaths& scratch,
-                          double* const* rows, std::size_t out_offset);
+                          double* const* rows);
 
 }  // namespace leak::kernel

@@ -221,10 +221,11 @@ class TrialRunner {
   /// fold into `acc` via acc.fold(begin, end, partial) strictly in
   /// ascending block order — a left-deep tree whose merge order is a
   /// function of (n_trials, block) alone, never of thread scheduling
-  /// or completion order.  This is what lets keep_paths=false summary
-  /// reductions scale past one thread while staying bit-identical to
-  /// the serial fold (and to full mode, when the accumulator is the
-  /// same code fed the same per-trial values in the same order).  A
+  /// or completion order.  This is the one fan-out of every Monte
+  /// Carlo driver: the fold tallies each block's outcomes (and, where
+  /// the driver keeps per-trial outputs, stores them at their global
+  /// index), so the reduction scales past one thread while staying
+  /// bit-identical to the serial fold.  A
   /// worker holds at most one unfolded partial, so in-flight memory is
   /// bounded by O(threads x sizeof(partial)).  Exceptions cancel
   /// unclaimed blocks; the one from the lowest block rethrows.

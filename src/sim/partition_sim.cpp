@@ -527,7 +527,7 @@ std::vector<std::uint8_t> deterministic_split(const PartitionSimConfig& cfg,
 struct TrialOutcome {
   std::int64_t conflict_epoch = -1;
   double beta_peak = 0.0;
-  std::uint8_t exceeded_both = 0;
+  bool exceeded_both = false;
   double residual_loss_eth = 0.0;
   std::int64_t recovery_epoch = -1;
 };
@@ -540,7 +540,7 @@ TrialOutcome trial_outcome(const PartitionSimConfig& base, std::uint32_t n_byz,
   for (const auto& br : r.branch) {
     out.beta_peak = std::max(out.beta_peak, br.beta_peak);
   }
-  out.exceeded_both = r.beta_exceeded_third_both ? 1 : 0;
+  out.exceeded_both = r.beta_exceeded_third_both;
   out.residual_loss_eth = r.residual_loss_total_eth;
   out.recovery_epoch = r.recovery_complete_epoch;
   return out;
@@ -559,26 +559,36 @@ void draw_split(const PartitionSimConfig& base, const StreamSeeder& seeder,
   }
 }
 
-/// Order-fed aggregate shared by the trials driver's full and summary
-/// modes: integer counts plus ascending-trial double sums, so both
-/// modes produce bit-identical fractions and means.
-struct PartitionTally {
+/// Folds each block's outcomes into the result in ascending block
+/// order: integer counts plus ascending-trial double sums (so the
+/// fractions and means are bit-identical for any block/threads), and
+/// the per-trial vectors written at each trial's global index.
+struct TrialFold {
+  PartitionTrialsResult* res;
   std::size_t conflicting = 0;
   std::size_t exceeded = 0;
   std::size_t recovered = 0;
   double conflict_epoch_sum = 0.0;
   double residual_sum = 0.0;
   double recovery_epoch_sum = 0.0;
-  void add(const TrialOutcome& out) {
-    if (out.conflict_epoch >= 0) {
-      ++conflicting;
-      conflict_epoch_sum += static_cast<double>(out.conflict_epoch);
-    }
-    if (out.exceeded_both != 0) ++exceeded;
-    residual_sum += out.residual_loss_eth;
-    if (out.recovery_epoch >= 0) {
-      ++recovered;
-      recovery_epoch_sum += static_cast<double>(out.recovery_epoch);
+  void fold(std::size_t begin, std::size_t,
+            std::vector<TrialOutcome>&& outcomes) {
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      const TrialOutcome& out = outcomes[i];
+      if (out.conflict_epoch >= 0) {
+        ++conflicting;
+        conflict_epoch_sum += static_cast<double>(out.conflict_epoch);
+      }
+      if (out.exceeded_both) ++exceeded;
+      residual_sum += out.residual_loss_eth;
+      if (out.recovery_epoch >= 0) {
+        ++recovered;
+        recovery_epoch_sum += static_cast<double>(out.recovery_epoch);
+      }
+      res->conflict_epochs[begin + i] = out.conflict_epoch;
+      res->beta_peaks[begin + i] = out.beta_peak;
+      res->residual_losses_eth[begin + i] = out.residual_loss_eth;
+      res->recovery_epochs[begin + i] = out.recovery_epoch;
     }
   }
 };
@@ -600,69 +610,30 @@ PartitionTrialsResult run_partition_trials(const PartitionTrialsConfig& cfg) {
   const auto n_byz = byzantine_count(cfg.base);
   const auto n_honest = cfg.base.n_validators - n_byz;
 
-  // Trial i always draws from the (seed, i) stream, so the result is
-  // bit-identical for every (block, threads) combination in either
-  // mode.
-  const StreamSeeder seeder(cfg.seed);
-  const runner::TrialRunner pool(cfg.threads);
-  const std::size_t block = runner::resolve_block(cfg.block);
   PartitionTrialsResult res;
   res.trials = cfg.trials;
-  PartitionTally tally;
-  if (cfg.keep_trials) {
-    // Full mode: block-scheduled fan-out straight into the result's
-    // preallocated slabs (only the scalars the trials aggregate
-    // survive a trial, never the full per-branch trajectories), then
-    // aggregate in trial order.
-    res.conflict_epochs.assign(cfg.trials, -1);
-    res.beta_peaks.assign(cfg.trials, 0.0);
-    res.residual_losses_eth.assign(cfg.trials, 0.0);
-    res.recovery_epochs.assign(cfg.trials, -1);
-    std::vector<std::uint8_t> exceeded_both(cfg.trials, 0);
-    pool.run_blocks(
-        cfg.trials, block, [&](std::size_t begin, std::size_t end) {
-          std::vector<std::uint8_t> branch_of_honest(n_honest);
-          for (std::size_t trial = begin; trial < end; ++trial) {
-            draw_split(cfg.base, seeder, trial, &branch_of_honest);
-            const auto out = trial_outcome(cfg.base, n_byz, branch_of_honest);
-            res.conflict_epochs[trial] = out.conflict_epoch;
-            res.beta_peaks[trial] = out.beta_peak;
-            exceeded_both[trial] = out.exceeded_both;
-            res.residual_losses_eth[trial] = out.residual_loss_eth;
-            res.recovery_epochs[trial] = out.recovery_epoch;
-          }
-        });
-    for (std::size_t trial = 0; trial < cfg.trials; ++trial) {
-      tally.add(TrialOutcome{res.conflict_epochs[trial],
-                             res.beta_peaks[trial], exceeded_both[trial],
-                             res.residual_losses_eth[trial],
-                             res.recovery_epochs[trial]});
-    }
-  } else {
-    // Summary mode: per-block outcome slabs fold through the ordered
-    // reduction tree in ascending block order — the same add() calls
-    // in the same trial order as full mode, without the O(trials)
-    // slabs.
-    struct OutcomeFold {
-      PartitionTally* tally;
-      void fold(std::size_t, std::size_t,
-                std::vector<TrialOutcome>&& outcomes) const {
-        for (const auto& out : outcomes) tally->add(out);
-      }
-    };
-    (void)pool.run_reduce(
-        cfg.trials, block, OutcomeFold{&tally},
-        [&](std::size_t begin, std::size_t end) {
-          std::vector<TrialOutcome> outcomes;
-          outcomes.reserve(end - begin);
-          std::vector<std::uint8_t> branch_of_honest(n_honest);
-          for (std::size_t trial = begin; trial < end; ++trial) {
-            draw_split(cfg.base, seeder, trial, &branch_of_honest);
-            outcomes.push_back(trial_outcome(cfg.base, n_byz, branch_of_honest));
-          }
-          return outcomes;
-        });
-  }
+  res.conflict_epochs.assign(cfg.trials, -1);
+  res.beta_peaks.assign(cfg.trials, 0.0);
+  res.residual_losses_eth.assign(cfg.trials, 0.0);
+  res.recovery_epochs.assign(cfg.trials, -1);
+  // Trial i always draws from the (seed, i) stream and blocks fold in
+  // ascending order, so the result is bit-identical for every (block,
+  // threads) combination.  Only the scalars the trials aggregate
+  // survive a trial, never the full per-branch trajectories.
+  const StreamSeeder seeder(cfg.seed);
+  const runner::TrialRunner pool(cfg.threads);
+  const auto tally = pool.run_reduce(
+      cfg.trials, runner::resolve_block(cfg.block), TrialFold{&res},
+      [&](std::size_t begin, std::size_t end) {
+        std::vector<TrialOutcome> outcomes;
+        outcomes.reserve(end - begin);
+        std::vector<std::uint8_t> branch_of_honest(n_honest);
+        for (std::size_t trial = begin; trial < end; ++trial) {
+          draw_split(cfg.base, seeder, trial, &branch_of_honest);
+          outcomes.push_back(trial_outcome(cfg.base, n_byz, branch_of_honest));
+        }
+        return outcomes;
+      });
 
   const double n = static_cast<double>(cfg.trials);
   res.conflicting_fraction = static_cast<double>(tally.conflicting) / n;

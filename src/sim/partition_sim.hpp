@@ -184,18 +184,11 @@ struct PartitionTrialsConfig {
   std::uint64_t seed = 2024;
   unsigned threads = 0;   ///< 0 = LEAK_THREADS / hardware_concurrency
   std::size_t block = 0;  ///< trials per block; 0 = LEAK_BLOCK / default
-  /// When false, the per-trial outcome slabs are never materialized:
-  /// the four per-trial vectors stay empty and only the aggregate
-  /// fractions/means are filled via the runner's ordered reduction
-  /// tree.  The aggregates are bit-identical between the two modes.
-  bool keep_trials = true;
 };
 
 struct PartitionTrialsResult {
   std::size_t trials = 0;
   /// Per trial: epoch of conflicting finalization (-1 when never).
-  /// This and the other per-trial vectors are empty when
-  /// cfg.keep_trials == false (summary mode).
   std::vector<std::int64_t> conflict_epochs;
   /// Per trial: max Byzantine-proportion peak across the branches.
   std::vector<double> beta_peaks;

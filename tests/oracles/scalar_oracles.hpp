@@ -32,7 +32,7 @@ bouncing::McResult run_bouncing_mc_scalar(
 
 /// Scalar bouncing-attack lifetime simulator: per-validator branchy
 /// loops and the run-order duration aggregation the batched driver's
-/// DurationSummary must match exactly.  Ignores cfg.keep_runs.
+/// DurationSummary must match exactly.
 bouncing::AttackSimResult run_attack_sim_scalar(
     const bouncing::AttackSimConfig& cfg);
 
@@ -48,7 +48,7 @@ bouncing::PopulationEnsembleResult run_population_ensemble_scalar(
 
 /// Scalar partition Monte Carlo: the pre-fusion per-epoch activity /
 /// metrics passes (separate total_active_balance sweep) and the serial
-/// trial aggregation.  Ignores cfg.keep_trials.
+/// trial aggregation.
 sim::PartitionTrialsResult run_partition_trials_scalar(
     const sim::PartitionTrialsConfig& cfg);
 

@@ -29,6 +29,8 @@ TEST(BouncingMc, GridValidation) {
   EXPECT_THROW(run_bouncing_mc(cfg, {100, 50}), std::invalid_argument);
   EXPECT_THROW(run_bouncing_mc(cfg, {100, 100}), std::invalid_argument);
   EXPECT_THROW(run_bouncing_mc(cfg, {90000}), std::invalid_argument);
+  cfg.paths = 0;  // every fraction would be 0/0
+  EXPECT_THROW(run_bouncing_mc(cfg, {100}), std::invalid_argument);
 }
 
 TEST(BouncingMc, DeterministicForSeed) {

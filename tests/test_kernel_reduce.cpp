@@ -1,8 +1,8 @@
 // Contract of the ordered reduction tree (TrialRunner::run_reduce):
 // partials fold in ascending block order no matter which worker
 // finishes first, at most one unfolded partial exists per worker, and
-// the summary modes built on it (keep_* = false) are bit-identical to
-// the full modes for all four Monte Carlo drivers.
+// the drivers built on it give the same aggregates whether or not they
+// keep their per-path outputs (keep_paths).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +15,6 @@
 #include "src/bouncing/attack_sim.hpp"
 #include "src/bouncing/montecarlo.hpp"
 #include "src/runner/trial_runner.hpp"
-#include "src/sim/partition_sim.hpp"
 #include "src/support/env.hpp"
 #include "tests/oracles/scalar_oracles.hpp"
 
@@ -105,12 +104,12 @@ TEST(RunReduce, SerialFoldMatchesLoop) {
   EXPECT_EQ(acc.begins, (std::vector<std::size_t>{0, 3, 6, 9}));
 }
 
-// --- summary-vs-full bit-identity, one test per driver -----------------
+// --- keep_paths on/off bit-identity ------------------------------------
 //
-// Summary mode streams per-trial scalars through the same accumulator
-// code full mode uses, in the same trial order, so every aggregate is
-// EXPECT_EQ-exact — not approximately equal — at every (block,
-// threads) combination.
+// keep_paths only decides whether the fold stores per-path rows; the
+// accumulators see the same per-path values in the same order either
+// way, so every aggregate is EXPECT_EQ-exact — not approximately
+// equal — at every (block, threads) combination.
 
 constexpr unsigned kThreadGrid[] = {1, 4};
 constexpr std::size_t kBlockGrid[] = {1, 16};
@@ -144,32 +143,6 @@ TEST(SummaryBitIdentity, BouncingMc) {
   }
 }
 
-TEST(SummaryBitIdentity, AttackSim) {
-  bouncing::AttackSimConfig cfg;
-  cfg.runs = env::scaled_count(120);
-  cfg.honest_validators = 20;
-  cfg.max_epochs = 1000;
-  cfg.seed = 31;
-  const auto full = bouncing::run_attack_sim(cfg);
-  ASSERT_FALSE(full.durations.empty());
-  for (const std::size_t block : kBlockGrid) {
-    for (const unsigned threads : kThreadGrid) {
-      cfg.block = block;
-      cfg.threads = threads;
-      cfg.keep_runs = false;
-      const auto summary = bouncing::run_attack_sim(cfg);
-      cfg.keep_runs = true;
-      // The guard: summary mode must not materialize per-run slabs.
-      EXPECT_TRUE(summary.durations.empty());
-      EXPECT_TRUE(summary.break_epochs.empty());
-      EXPECT_EQ(summary.prob_threshold_broken, full.prob_threshold_broken);
-      EXPECT_EQ(summary.mean_duration, full.mean_duration);
-      EXPECT_EQ(summary.median_duration, full.median_duration);
-      EXPECT_EQ(summary.p99_duration, full.p99_duration);
-    }
-  }
-}
-
 TEST(SummaryBitIdentity, PopulationEnsemble) {
   bouncing::PopulationEnsembleConfig cfg;
   cfg.base.honest_validators = 25;
@@ -192,40 +165,8 @@ TEST(SummaryBitIdentity, PopulationEnsemble) {
   }
 }
 
-TEST(SummaryBitIdentity, PartitionTrials) {
-  sim::PartitionTrialsConfig cfg;
-  cfg.base.n_validators = 80;
-  cfg.base.strategy = sim::Strategy::kNone;
-  cfg.base.max_epochs = 400;
-  cfg.base.trajectory_stride = 400;
-  cfg.trials = env::scaled_count(8);
-  cfg.seed = 9;
-  const auto full = sim::run_partition_trials(cfg);
-  ASSERT_FALSE(full.conflict_epochs.empty());
-  for (const std::size_t block : kBlockGrid) {
-    for (const unsigned threads : kThreadGrid) {
-      cfg.block = block;
-      cfg.threads = threads;
-      cfg.keep_trials = false;
-      const auto summary = sim::run_partition_trials(cfg);
-      cfg.keep_trials = true;
-      EXPECT_TRUE(summary.conflict_epochs.empty());
-      EXPECT_TRUE(summary.beta_peaks.empty());
-      EXPECT_TRUE(summary.residual_losses_eth.empty());
-      EXPECT_TRUE(summary.recovery_epochs.empty());
-      EXPECT_EQ(summary.conflicting_fraction, full.conflicting_fraction);
-      EXPECT_EQ(summary.beta_exceeded_fraction, full.beta_exceeded_fraction);
-      EXPECT_EQ(summary.mean_conflict_epoch, full.mean_conflict_epoch);
-      EXPECT_EQ(summary.recovered_fraction, full.recovered_fraction);
-      EXPECT_EQ(summary.mean_residual_loss_eth, full.mean_residual_loss_eth);
-      EXPECT_EQ(summary.mean_recovery_epoch, full.mean_recovery_epoch);
-    }
-  }
-}
-
-// Cross-check against the oracle: summary mode is transitively
-// bit-identical to the pre-rollout scalar aggregation, not just to the
-// batched full mode.
+// Cross-check against the oracle: the ordered fold at threads = 4,
+// block = 8 is bit-identical to the pre-rollout scalar aggregation.
 TEST(SummaryBitIdentity, AttackSummaryMatchesScalarOracle) {
   bouncing::AttackSimConfig cfg;
   cfg.runs = env::scaled_count(80);
@@ -233,7 +174,6 @@ TEST(SummaryBitIdentity, AttackSummaryMatchesScalarOracle) {
   cfg.max_epochs = 800;
   cfg.seed = 3;
   const auto ref = oracle::run_attack_sim_scalar(cfg);
-  cfg.keep_runs = false;
   cfg.threads = 4;
   cfg.block = 8;
   const auto summary = bouncing::run_attack_sim(cfg);
