@@ -22,6 +22,8 @@
 #include <string>
 
 #include "src/analytic/solvers.hpp"
+#include "src/faults/driver.hpp"
+#include "src/faults/schedule.hpp"
 #include "src/scenario/registry.hpp"
 #include "src/sim/partition_sim.hpp"
 
@@ -62,9 +64,10 @@ int main(int argc, char** argv) {
   cfg.strategy = strategy;
   cfg.max_epochs = heal_epoch > 0 ? 9000 : 6000;
   cfg.trajectory_stride = 250;
-  cfg.branches = branches;
-  cfg.heal_epoch = heal_epoch;
-  cfg.heal_stagger = heal_stagger;
+  faults::compile_partition(
+      faults::FaultSchedule::staggered_partition(branches, 0, heal_epoch,
+                                                 heal_stagger),
+      &cfg);
 
   std::printf("partition scenario: beta0=%.2f p0=%.2f, %u validators, "
               "%u branches%s\n",

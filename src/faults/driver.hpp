@@ -3,11 +3,9 @@
 //
 //  * compile_partition -- the epoch-granular sim::PartitionSimConfig
 //    path: partition-open/heal events become explicit per-branch
-//    windows (generalizing the legacy heal_epoch/heal_stagger knobs,
-//    bit-identically for schedules produced by
-//    FaultSchedule::legacy_partition), outages become honest-cohort
-//    inactivity windows.  Latency/loss episodes have no epoch-granular
-//    analogue and are rejected.
+//    windows (the simulator's only heal schedule), outages become
+//    honest-cohort inactivity windows.  Latency/loss episodes have no
+//    epoch-granular analogue and are rejected.
 //
 //  * apply_network -- the event-queue net::Network path: latency/loss
 //    episodes become scripted weather on the gossip network, with
@@ -27,10 +25,9 @@
 namespace leak::faults {
 
 /// Compile the partition-open/heal/outage events of `schedule` onto
-/// `cfg`: sets cfg->branches, cfg->windows and cfg->outages, and
-/// clears the legacy heal_epoch/heal_stagger knobs (the schedule is
-/// now the single source of truth).  Every other field (n_validators,
-/// beta0, strategy, horizon, spec) is left untouched.  Throws on
+/// `cfg`: sets cfg->branches, cfg->windows and cfg->outages.  Every
+/// other field (n_validators, beta0, p0, strategy, horizon, spec) is
+/// left untouched.  Throws on
 /// latency/loss events or a schedule with no partition-open.
 void compile_partition(const FaultSchedule& schedule,
                        sim::PartitionSimConfig* cfg);

@@ -439,10 +439,4 @@ FaultSchedule FaultSchedule::staggered_partition(std::uint32_t branches,
   return s;
 }
 
-FaultSchedule FaultSchedule::legacy_partition(std::uint32_t branches,
-                                              std::size_t heal_epoch,
-                                              std::size_t heal_stagger) {
-  return staggered_partition(branches, 0, heal_epoch, heal_stagger);
-}
-
 }  // namespace leak::faults

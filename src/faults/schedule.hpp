@@ -14,10 +14,10 @@
 //     deterministically) so schedules are durable artifacts: sweep
 //     cells carry them as a `faults` param and leakctl --faults loads
 //     them from disk;
-//   - the legacy heal_epoch/heal_stagger knobs compile to an
-//     equivalent schedule (legacy_partition) that is bit-identical by
-//     golden test, so the scripted path subsumes the paper's fixed
-//     partition-then-heal arc.
+//   - the paper's fixed partition-then-heal arc is one member of the
+//     staggered_partition family (every branch opens at epoch 1), so
+//     the scripted path is the partition simulator's only heal
+//     schedule.
 //
 // Times are epochs throughout (the partition simulator's native unit);
 // the network driver scales them to seconds.
@@ -127,17 +127,10 @@ struct FaultSchedule {
   /// The staggered-partition family as a schedule: branch b
   /// (1 <= b < branches) opens at 1 + (b-1) * open_stagger and, when
   /// heal_epoch > 0, heals at heal_epoch + (b-1) * heal_stagger.
+  /// open_stagger = 0 is the paper's partition-then-heal arc.
   [[nodiscard]] static FaultSchedule staggered_partition(
       std::uint32_t branches, std::size_t open_stagger,
       std::size_t heal_epoch, std::size_t heal_stagger);
-
-  /// The legacy PartitionSimConfig knobs (every branch opens at epoch
-  /// 1) as a schedule -- the two-event open/heal arc for the paper's
-  /// two-branch scenarios.  Compiling it back is bit-identical to the
-  /// legacy path, pinned by golden tests.
-  [[nodiscard]] static FaultSchedule legacy_partition(
-      std::uint32_t branches, std::size_t heal_epoch,
-      std::size_t heal_stagger);
 };
 
 }  // namespace leak::faults

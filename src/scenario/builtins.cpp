@@ -107,6 +107,123 @@ faults::FaultSchedule resolve_schedule(const ParamSet& p,
   return faults::FaultSchedule::from_string(text);
 }
 
+/// The uniform `seed`/`threads`/`block` params of a stochastic
+/// scenario; `unit` names what a scheduled block holds (paths, runs or
+/// trials).  Declared by each spec rather than by the registry because
+/// ParamSet order is part of the serve job id and the sweep cell
+/// fingerprint.
+ScenarioSpec& add_run_params(ScenarioSpec& spec, std::int64_t seed,
+                             const std::string& unit) {
+  return spec.add_int("seed", "master RNG seed", seed)
+      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
+      .add_int("block", unit + " per scheduled block (0 = auto)", 0, 0, 1e9);
+}
+
+/// The four uniform params a deterministic scenario declares only to
+/// honour the registry's tooling contract.
+ScenarioSpec& add_ignored_run_params(ScenarioSpec& spec) {
+  const std::string ignored = "(ignored - deterministic scenario)";
+  return spec.add_int("paths", ignored, 1, 1, 1e9)
+      .add_int("seed", ignored, 0)
+      .add_int("threads", ignored, 0, 0, 1024)
+      .add_int("block", ignored, 0, 0, 1e9);
+}
+
+/// Run `paths` independent slot-level simulations through the trial
+/// runner: `base` carries the scenario's own fields, this reads the
+/// knobs every slot scenario shares, and trial i is seeded from the
+/// (seed, i) stream, so the result is bit-identical for any
+/// threads/block.
+std::vector<sim::SlotSimResult> run_slot_trials(const ParamSet& p,
+                                                sim::SlotSimConfig base) {
+  base.n_honest = static_cast<std::uint32_t>(p.get_int("n_honest"));
+  base.n_byzantine = static_cast<std::uint32_t>(p.get_int("n_byzantine"));
+  base.epochs = static_cast<std::size_t>(p.get_int("epochs"));
+  base.delta = p.get_double("delta");
+  base.proposer_boost = static_cast<unsigned>(p.get_int("proposer_boost"));
+  const auto paths = static_cast<std::size_t>(p.get_int("paths"));
+  const StreamSeeder seeder(static_cast<std::uint64_t>(p.get_int("seed")));
+  const runner::TrialRunner pool(static_cast<unsigned>(p.get_int("threads")));
+  std::vector<sim::SlotSimResult> trials(paths);
+  pool.run_blocks(
+      paths,
+      runner::resolve_block(static_cast<std::size_t>(p.get_int("block"))),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          sim::SlotSimConfig cfg = base;
+          cfg.seed = seeder.seed_for(i);
+          trials[i] = sim::SlotSim(cfg).run();
+        }
+      });
+  return trials;
+}
+
+/// The randomized-split trials config of a partition scenario: the
+/// shared partition knobs plus the effective schedule (`faults` wins
+/// over the knob-built `fallback`), always compiled through the
+/// FaultDriver so the baselines pin its bit-identity.
+sim::PartitionTrialsConfig partition_trials_config(
+    const ParamSet& p, faults::FaultSchedule fallback) {
+  sim::PartitionTrialsConfig cfg;
+  cfg.base.n_validators =
+      static_cast<std::uint32_t>(p.get_int("n_validators"));
+  cfg.base.beta0 = p.get_double("beta0");
+  cfg.base.strategy = strategy_from_name(p.get_string("strategy"));
+  cfg.base.max_epochs = static_cast<std::size_t>(p.get_int("max_epochs"));
+  // Trajectories are per-epoch bulk the trials never read; sample at
+  // the horizon only.
+  cfg.base.trajectory_stride = cfg.base.max_epochs;
+  faults::compile_partition(resolve_schedule(p, std::move(fallback)),
+                            &cfg.base);
+  cfg.trials = static_cast<std::size_t>(p.get_int("paths"));
+  cfg.seed = static_cast<std::uint64_t>(p.get_int("seed"));
+  cfg.threads = static_cast<unsigned>(p.get_int("threads"));
+  cfg.block = static_cast<std::size_t>(p.get_int("block"));
+  return cfg;
+}
+
+/// The leading metrics of the healing partition scenarios: the trial
+/// aggregates, then the heal and recovery epochs of the deterministic
+/// even-split run, which is returned for the per-class cross-check.
+sim::PartitionSimResult add_heal_metrics(const sim::PartitionTrialsConfig& cfg,
+                                         const sim::PartitionTrialsResult& res,
+                                         ScenarioResult* out) {
+  out->add_metric("conflicting_fraction", res.conflicting_fraction);
+  out->add_metric("beta_exceeded_fraction", res.beta_exceeded_fraction);
+  out->add_metric("mean_conflict_epoch", res.mean_conflict_epoch);
+  out->add_metric("recovered_fraction", res.recovered_fraction);
+  out->add_metric("mean_residual_loss_eth", res.mean_residual_loss_eth);
+  out->add_metric("mean_recovery_epoch", res.mean_recovery_epoch);
+  auto det = sim::run_partition_sim(cfg.base);
+  out->add_metric("det_heal_complete_epoch",
+                  static_cast<double>(det.heal_complete_epoch));
+  out->add_metric("det_recovery_complete_epoch",
+                  static_cast<double>(det.recovery_complete_epoch));
+  out->add_metric("det_residual_loss_total_eth", det.residual_loss_total_eth);
+  return det;
+}
+
+/// The per-trial table and the beta_peak / residual_loss_eth stats of
+/// the healing partition scenarios.
+void add_heal_trials(const sim::PartitionTrialsResult& res,
+                     ScenarioResult* out) {
+  RunningStats peaks;
+  Table rows({"trial", "conflict_epoch", "beta_peak", "residual_loss_eth",
+              "recovery_epoch"});
+  for (std::size_t i = 0; i < res.conflict_epochs.size(); ++i) {
+    peaks.add(res.beta_peaks[i]);
+    rows.add_row({std::to_string(i), std::to_string(res.conflict_epochs[i]),
+                  Table::fmt_exact(res.beta_peaks[i]),
+                  Table::fmt_exact(res.residual_losses_eth[i]),
+                  std::to_string(res.recovery_epochs[i])});
+  }
+  out->add_stats("beta_peak", peaks);
+  RunningStats losses;
+  for (const double l : res.residual_losses_eth) losses.add(l);
+  out->add_stats("residual_loss_eth", losses);
+  out->trials = std::move(rows);
+}
+
 // --- bouncing-mc --------------------------------------------------------
 // Figure 9 defaults: censored stake law at t = 4024, 4000 paths, seed 99.
 
@@ -122,10 +239,8 @@ void register_bouncing_mc(ScenarioRegistry& r) {
       .add_double("beta0", "Byzantine stake proportion", 0.33, 0.0, 0.5)
       .add_string("snapshots",
                   "comma-separated snapshot epochs; empty = final epoch only",
-                  "")
-      .add_int("seed", "master RNG seed", 99)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "paths per scheduled block (0 = auto)", 0, 0, 1e9);
+                  "");
+  add_run_params(spec, 99, "paths");
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     bouncing::McConfig cfg;
     cfg.paths = static_cast<std::size_t>(p.get_int("paths"));
@@ -185,10 +300,8 @@ void register_attack_lifetime(ScenarioRegistry& r) {
       .add_bool("stake_weighted",
                 "continuation lottery uses the current stake-weighted beta "
                 "(false = constant beta0 paper bound)",
-                true)
-      .add_int("seed", "master RNG seed", 2024)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "runs per scheduled block (0 = auto)", 0, 0, 1e9);
+                true);
+  add_run_params(spec, 2024, "runs");
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     bouncing::AttackSimConfig cfg;
     cfg.runs = static_cast<std::size_t>(p.get_int("paths"));
@@ -236,10 +349,8 @@ void register_population_ensemble(ScenarioRegistry& r) {
       .add_int("honest_validators", "honest validators per run", 200, 1, 1e6)
       .add_int("epochs", "horizon in epochs", 6000, 1, 1e7)
       .add_double("p0", "honest branch-assignment probability", 0.5, 0.0, 1.0)
-      .add_double("beta0", "Byzantine stake proportion", 0.33, 0.0, 0.5)
-      .add_int("seed", "master RNG seed", 11)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "paths per scheduled block (0 = auto)", 0, 0, 1e9);
+      .add_double("beta0", "Byzantine stake proportion", 0.33, 0.0, 0.5);
+  add_run_params(spec, 11, "paths");
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     bouncing::PopulationEnsembleConfig cfg;
     cfg.base.honest_validators =
@@ -285,32 +396,13 @@ void register_partition_trials(ScenarioRegistry& r) {
       .add_double("p0", "honest proportion on branch 1", 0.5, 0.0, 1.0)
       .add_string("strategy", "Byzantine strategy during the partition",
                   "honest", {"honest", "slashable", "semiactive", "overthrow"})
-      .add_int("max_epochs", "horizon in epochs", 5000, 1, 1e7)
-      .add_int("seed", "master RNG seed", 2024)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "trials per scheduled block (0 = auto)", 0, 0, 1e9);
+      .add_int("max_epochs", "horizon in epochs", 5000, 1, 1e7);
+  add_run_params(spec, 2024, "trials");
   add_faults_param(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
-    sim::PartitionTrialsConfig cfg;
-    cfg.base.n_validators =
-        static_cast<std::uint32_t>(p.get_int("n_validators"));
-    cfg.base.beta0 = p.get_double("beta0");
+    auto cfg = partition_trials_config(
+        p, faults::FaultSchedule::staggered_partition(2, 0, 0, 0));
     cfg.base.p0 = p.get_double("p0");
-    cfg.base.strategy = strategy_from_name(p.get_string("strategy"));
-    cfg.base.max_epochs = static_cast<std::size_t>(p.get_int("max_epochs"));
-    // Trajectories are per-epoch bulk the trials never read; sample at
-    // the horizon only.
-    cfg.base.trajectory_stride = cfg.base.max_epochs;
-    // Always route through the compiled fault schedule (the knob path
-    // compiles to the same two-branch window), so every run exercises
-    // the FaultDriver and the baselines pin its bit-identity.
-    faults::compile_partition(
-        resolve_schedule(p, faults::FaultSchedule::legacy_partition(2, 0, 0)),
-        &cfg.base);
-    cfg.trials = static_cast<std::size_t>(p.get_int("paths"));
-    cfg.seed = static_cast<std::uint64_t>(p.get_int("seed"));
-    cfg.threads = static_cast<unsigned>(p.get_int("threads"));
-    cfg.block = static_cast<std::size_t>(p.get_int("block"));
     const auto res = sim::run_partition_trials(cfg);
 
     out->add_metric("conflicting_fraction", res.conflicting_fraction);
@@ -340,11 +432,8 @@ void register_duty_cycle(ScenarioRegistry& r) {
       .add_double("t_eval", "epoch at which to evaluate the stake", 1000.0,
                   1.0, 1e7)
       .add_double("beta0", "Byzantine proportion for the m-branch bounds",
-                  0.33, 0.0, 0.5)
-      .add_int("paths", "(ignored - deterministic scenario)", 1, 1, 1e9)
-      .add_int("seed", "(ignored - deterministic scenario)", 0)
-      .add_int("threads", "(ignored - deterministic scenario)", 0, 0, 1024)
-      .add_int("block", "(ignored - deterministic scenario)", 0, 0, 1e9);
+                  0.33, 0.0, 0.5);
+  add_ignored_run_params(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     const auto cfg = analytic::AnalyticConfig::paper();
     const auto k_max = static_cast<unsigned>(p.get_int("k_max"));
@@ -392,11 +481,8 @@ void register_recovery(ScenarioRegistry& r) {
       "Post-leak recovery tail (Figure 3 discussion): score decay after "
       "finalization resumes and the residual stake lost, closed form vs "
       "exact discrete recurrence; deterministic, paths/seed ignored");
-  spec.add_double("t_end", "epoch at which the leak ends", 500.0, 1.0, 1e7)
-      .add_int("paths", "(ignored - deterministic scenario)", 1, 1, 1e9)
-      .add_int("seed", "(ignored - deterministic scenario)", 0)
-      .add_int("threads", "(ignored - deterministic scenario)", 0, 0, 1024)
-      .add_int("block", "(ignored - deterministic scenario)", 0, 0, 1e9);
+  spec.add_double("t_end", "epoch at which the leak ends", 500.0, 1.0, 1e7);
+  add_ignored_run_params(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     const auto cfg = analytic::AnalyticConfig::paper();
     const double t_end = p.get_double("t_end");
@@ -439,35 +525,13 @@ void register_slot_protocol(ScenarioRegistry& r) {
                   sim::kMinMessageDelay, 60.0)
       .add_int("proposer_boost",
                "fork-choice proposer-boost percent (0 = off, mainnet 40)", 0,
-               0, 100)
-      .add_int("seed", "master RNG seed", 1)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "trials per scheduled block (0 = auto)", 0, 0, 1e9);
+               0, 100);
+  add_run_params(spec, 1, "trials");
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     sim::SlotSimConfig base;
-    base.n_honest = static_cast<std::uint32_t>(p.get_int("n_honest"));
-    base.n_byzantine = static_cast<std::uint32_t>(p.get_int("n_byzantine"));
-    base.epochs = static_cast<std::size_t>(p.get_int("epochs"));
     base.p0 = p.get_double("p0");
     base.gst_epoch = p.get_double("gst_epoch");
-    base.delta = p.get_double("delta");
-    base.proposer_boost = static_cast<unsigned>(p.get_int("proposer_boost"));
-    const auto paths = static_cast<std::size_t>(p.get_int("paths"));
-    const StreamSeeder seeder(
-        static_cast<std::uint64_t>(p.get_int("seed")));
-    const runner::TrialRunner pool(
-        static_cast<unsigned>(p.get_int("threads")));
-    std::vector<sim::SlotSimResult> trials(paths);
-    pool.run_blocks(paths,
-                    runner::resolve_block(
-                        static_cast<std::size_t>(p.get_int("block"))),
-                    [&](std::size_t begin, std::size_t end) {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        sim::SlotSimConfig cfg = base;
-                        cfg.seed = seeder.seed_for(i);
-                        trials[i] = sim::SlotSim(cfg).run();
-                      }
-                    });
+    const auto trials = run_slot_trials(p, std::move(base));
 
     RunningStats finalized, violations, slashed, messages;
     std::size_t leaks = 0;
@@ -537,35 +601,14 @@ void register_balancing_attack(ScenarioRegistry& r) {
                   0.1, 0.0, 8.0)
       .add_int("proposer_boost",
                "fork-choice proposer-boost percent (0 = off, mainnet 40)", 0,
-               0, 100)
-      .add_int("seed", "master RNG seed", 42)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "trials per scheduled block (0 = auto)", 0, 0, 1e9);
+               0, 100);
+  add_run_params(spec, 42, "trials");
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     sim::SlotSimConfig base;
-    base.n_honest = static_cast<std::uint32_t>(p.get_int("n_honest"));
-    base.n_byzantine = static_cast<std::uint32_t>(p.get_int("n_byzantine"));
-    base.epochs = static_cast<std::size_t>(p.get_int("epochs"));
-    base.delta = p.get_double("delta");
     base.release_delay = p.get_double("release_delay");
     base.cross_delay = p.get_double("cross_delay");
-    base.proposer_boost = static_cast<unsigned>(p.get_int("proposer_boost"));
     base.proposer_strategy = sim::ProposerStrategy::kBalancing;
-    const auto paths = static_cast<std::size_t>(p.get_int("paths"));
-    const StreamSeeder seeder(static_cast<std::uint64_t>(p.get_int("seed")));
-    const runner::TrialRunner pool(
-        static_cast<unsigned>(p.get_int("threads")));
-    std::vector<sim::SlotSimResult> trials(paths);
-    pool.run_blocks(paths,
-                    runner::resolve_block(
-                        static_cast<std::size_t>(p.get_int("block"))),
-                    [&](std::size_t begin, std::size_t end) {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        sim::SlotSimConfig cfg = base;
-                        cfg.seed = seeder.seed_for(i);
-                        trials[i] = sim::SlotSim(cfg).run();
-                      }
-                    });
+    const auto trials = run_slot_trials(p, base);
 
     const double leak_trigger = static_cast<double>(
         base.spec.min_epochs_to_inactivity_penalty);
@@ -643,10 +686,8 @@ void register_semiactive_sweep(ScenarioRegistry& r) {
       .add_double("beta0", "Byzantine stake proportion", 0.33, 0.0, 0.5)
       .add_int("paths", "Monte Carlo paths for the cross-check", 2000, 1,
                1e9)
-      .add_int("epochs", "Monte Carlo horizon in epochs", 4024, 4, 1e7)
-      .add_int("seed", "master RNG seed", 7)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "paths per scheduled block (0 = auto)", 0, 0, 1e9);
+      .add_int("epochs", "Monte Carlo horizon in epochs", 4024, 4, 1e7);
+  add_run_params(spec, 7, "paths");
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     const auto cfg = analytic::AnalyticConfig::paper();
     const auto m = static_cast<unsigned>(p.get_int("branches"));
@@ -736,56 +777,26 @@ void register_multi_partition_recovery(ScenarioRegistry& r) {
                2000, 0, 1e7)
       .add_int("heal_stagger", "epochs between successive pairwise heals",
                500, 0, 1e7)
-      .add_int("max_epochs", "horizon in epochs", 8000, 1, 1e7)
-      .add_int("seed", "master RNG seed", 2024)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "trials per scheduled block (0 = auto)", 0, 0, 1e9);
+      .add_int("max_epochs", "horizon in epochs", 8000, 1, 1e7);
+  add_run_params(spec, 2024, "trials");
   add_faults_param(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
-    sim::PartitionTrialsConfig cfg;
-    cfg.base.n_validators =
-        static_cast<std::uint32_t>(p.get_int("n_validators"));
-    cfg.base.beta0 = p.get_double("beta0");
+    // The heal knobs compile to a schedule (every branch opens at epoch
+    // 1, branch b heals at heal_epoch + (b-1) * heal_stagger); a
+    // non-empty `faults` schedule supersedes branches/heal_epoch/
+    // heal_stagger entirely.
+    auto cfg = partition_trials_config(
+        p, faults::FaultSchedule::staggered_partition(
+               static_cast<std::uint32_t>(p.get_int("branches")), 0,
+               static_cast<std::size_t>(p.get_int("heal_epoch")),
+               static_cast<std::size_t>(p.get_int("heal_stagger"))));
     cfg.base.p0 = p.get_double("p0");
-    cfg.base.strategy = strategy_from_name(p.get_string("strategy"));
-    // The heal knobs compile to a schedule (branch b heals at
-    // heal_epoch + (b-1) * heal_stagger) so the run always goes through
-    // the FaultDriver; a non-empty `faults` schedule supersedes
-    // branches/heal_epoch/heal_stagger entirely.
-    faults::compile_partition(
-        resolve_schedule(
-            p, faults::FaultSchedule::legacy_partition(
-                   static_cast<std::uint32_t>(p.get_int("branches")),
-                   static_cast<std::size_t>(p.get_int("heal_epoch")),
-                   static_cast<std::size_t>(p.get_int("heal_stagger")))),
-        &cfg.base);
-    cfg.base.max_epochs = static_cast<std::size_t>(p.get_int("max_epochs"));
-    // Trajectories are per-epoch bulk the trials never read; sample at
-    // the horizon only.
-    cfg.base.trajectory_stride = cfg.base.max_epochs;
-    cfg.trials = static_cast<std::size_t>(p.get_int("paths"));
-    cfg.seed = static_cast<std::uint64_t>(p.get_int("seed"));
-    cfg.threads = static_cast<unsigned>(p.get_int("threads"));
-    cfg.block = static_cast<std::size_t>(p.get_int("block"));
     const auto res = sim::run_partition_trials(cfg);
-
-    out->add_metric("conflicting_fraction", res.conflicting_fraction);
-    out->add_metric("beta_exceeded_fraction", res.beta_exceeded_fraction);
-    out->add_metric("mean_conflict_epoch", res.mean_conflict_epoch);
-    out->add_metric("recovered_fraction", res.recovered_fraction);
-    out->add_metric("mean_residual_loss_eth", res.mean_residual_loss_eth);
-    out->add_metric("mean_recovery_epoch", res.mean_recovery_epoch);
 
     // Deterministic closed-form cross-check: the even-split run's
     // homogeneous classes let analytic::residual_loss be compared
     // per validator against the sim's exact-arithmetic recovery tail.
-    const auto det = sim::run_partition_sim(cfg.base);
-    out->add_metric("det_heal_complete_epoch",
-                    static_cast<double>(det.heal_complete_epoch));
-    out->add_metric("det_recovery_complete_epoch",
-                    static_cast<double>(det.recovery_complete_epoch));
-    out->add_metric("det_residual_loss_total_eth",
-                    det.residual_loss_total_eth);
+    const auto det = add_heal_metrics(cfg, res, out);
     const sim::RecoveryOutcome* worst = nullptr;
     for (const auto& rec : det.recovery) {
       // Only classes whose recovery finished inside the horizon have a
@@ -808,21 +819,7 @@ void register_multi_partition_recovery(ScenarioRegistry& r) {
                       std::fabs(closed - worst->residual_loss_eth));
     }
 
-    RunningStats peaks;
-    Table rows({"trial", "conflict_epoch", "beta_peak", "residual_loss_eth",
-                "recovery_epoch"});
-    for (std::size_t i = 0; i < res.conflict_epochs.size(); ++i) {
-      peaks.add(res.beta_peaks[i]);
-      rows.add_row({std::to_string(i), std::to_string(res.conflict_epochs[i]),
-                    Table::fmt_exact(res.beta_peaks[i]),
-                    Table::fmt_exact(res.residual_losses_eth[i]),
-                    std::to_string(res.recovery_epochs[i])});
-    }
-    out->add_stats("beta_peak", peaks);
-    RunningStats losses;
-    for (const double l : res.residual_losses_eth) losses.add(l);
-    out->add_stats("residual_loss_eth", losses);
-    out->trials = std::move(rows);
+    add_heal_trials(res, out);
   });
 }
 
@@ -852,51 +849,23 @@ void register_cascading_partitions(ScenarioRegistry& r) {
                2500, 0, 1e7)
       .add_int("heal_stagger", "epochs between successive pairwise heals",
                500, 0, 1e7)
-      .add_int("max_epochs", "horizon in epochs", 9000, 1, 1e7)
-      .add_int("seed", "master RNG seed", 2024)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "trials per scheduled block (0 = auto)", 0, 0, 1e9);
+      .add_int("max_epochs", "horizon in epochs", 9000, 1, 1e7);
+  add_run_params(spec, 2024, "trials");
   add_faults_param(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
-    sim::PartitionTrialsConfig cfg;
-    cfg.base.n_validators =
-        static_cast<std::uint32_t>(p.get_int("n_validators"));
-    cfg.base.beta0 = p.get_double("beta0");
-    cfg.base.strategy = strategy_from_name(p.get_string("strategy"));
-    cfg.base.max_epochs = static_cast<std::size_t>(p.get_int("max_epochs"));
-    cfg.base.trajectory_stride = cfg.base.max_epochs;
-    faults::compile_partition(
-        resolve_schedule(
-            p, faults::FaultSchedule::staggered_partition(
-                   static_cast<std::uint32_t>(p.get_int("branches")),
-                   static_cast<std::size_t>(p.get_int("open_stagger")),
-                   static_cast<std::size_t>(p.get_int("heal_epoch")),
-                   static_cast<std::size_t>(p.get_int("heal_stagger")))),
-        &cfg.base);
-    cfg.trials = static_cast<std::size_t>(p.get_int("paths"));
-    cfg.seed = static_cast<std::uint64_t>(p.get_int("seed"));
-    cfg.threads = static_cast<unsigned>(p.get_int("threads"));
-    cfg.block = static_cast<std::size_t>(p.get_int("block"));
+    const auto cfg = partition_trials_config(
+        p, faults::FaultSchedule::staggered_partition(
+               static_cast<std::uint32_t>(p.get_int("branches")),
+               static_cast<std::size_t>(p.get_int("open_stagger")),
+               static_cast<std::size_t>(p.get_int("heal_epoch")),
+               static_cast<std::size_t>(p.get_int("heal_stagger"))));
     const auto res = sim::run_partition_trials(cfg);
-
-    out->add_metric("conflicting_fraction", res.conflicting_fraction);
-    out->add_metric("beta_exceeded_fraction", res.beta_exceeded_fraction);
-    out->add_metric("mean_conflict_epoch", res.mean_conflict_epoch);
-    out->add_metric("recovered_fraction", res.recovered_fraction);
-    out->add_metric("mean_residual_loss_eth", res.mean_residual_loss_eth);
-    out->add_metric("mean_recovery_epoch", res.mean_recovery_epoch);
 
     // Per-episode analytic cross-check: the deterministic even-split
     // run yields one homogeneous class per healed branch, so each
     // class's exact-arithmetic recovery tail can be compared against
     // both recovery models class by class.
-    const auto det = sim::run_partition_sim(cfg.base);
-    out->add_metric("det_heal_complete_epoch",
-                    static_cast<double>(det.heal_complete_epoch));
-    out->add_metric("det_recovery_complete_epoch",
-                    static_cast<double>(det.recovery_complete_epoch));
-    out->add_metric("det_residual_loss_total_eth",
-                    det.residual_loss_total_eth);
+    const auto det = add_heal_metrics(cfg, res, out);
     const auto acfg = analytic::AnalyticConfig::paper();
     std::size_t healed_classes = 0;
     double max_discrete_rel_err = 0.0;
@@ -929,21 +898,7 @@ void register_cascading_partitions(ScenarioRegistry& r) {
     out->add_metric("max_class_discrete_rel_err", max_discrete_rel_err);
     out->add_metric("max_class_closed_rel_err", max_closed_rel_err);
 
-    RunningStats peaks;
-    Table rows({"trial", "conflict_epoch", "beta_peak", "residual_loss_eth",
-                "recovery_epoch"});
-    for (std::size_t i = 0; i < res.conflict_epochs.size(); ++i) {
-      peaks.add(res.beta_peaks[i]);
-      rows.add_row({std::to_string(i), std::to_string(res.conflict_epochs[i]),
-                    Table::fmt_exact(res.beta_peaks[i]),
-                    Table::fmt_exact(res.residual_losses_eth[i]),
-                    std::to_string(res.recovery_epochs[i])});
-    }
-    out->add_stats("beta_peak", peaks);
-    RunningStats losses;
-    for (const double l : res.residual_losses_eth) losses.add(l);
-    out->add_stats("residual_loss_eth", losses);
-    out->trials = std::move(rows);
+    add_heal_trials(res, out);
   });
 }
 
@@ -992,20 +947,13 @@ void register_flaky_network(ScenarioRegistry& r) {
       .add_int("loss_span_epochs",
                "loss episode length in epochs (0 = no episode)", 2, 0, 256)
       .add_string("loss_link", "links the loss episode afflicts", "all",
-                  {"all", "intra", "cross"})
-      .add_int("seed", "master RNG seed", 7)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "trials per scheduled block (0 = auto)", 0, 0, 1e9);
+                  {"all", "intra", "cross"});
+  add_run_params(spec, 7, "trials");
   add_faults_param(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     sim::SlotSimConfig base;
-    base.n_honest = static_cast<std::uint32_t>(p.get_int("n_honest"));
-    base.n_byzantine = static_cast<std::uint32_t>(p.get_int("n_byzantine"));
-    base.epochs = static_cast<std::size_t>(p.get_int("epochs"));
     base.p0 = p.get_double("p0");
     base.gst_epoch = p.get_double("gst_epoch");
-    base.delta = p.get_double("delta");
-    base.proposer_boost = static_cast<unsigned>(p.get_int("proposer_boost"));
 
     // Build the weather timeline from the episode knobs (or take the
     // `faults` schedule verbatim) and compile it to per-link episodes
@@ -1041,22 +989,7 @@ void register_flaky_network(ScenarioRegistry& r) {
         &weather);
     base.latency_episodes = std::move(weather.latency_episodes);
     base.loss_episodes = std::move(weather.loss_episodes);
-
-    const auto paths = static_cast<std::size_t>(p.get_int("paths"));
-    const StreamSeeder seeder(static_cast<std::uint64_t>(p.get_int("seed")));
-    const runner::TrialRunner pool(
-        static_cast<unsigned>(p.get_int("threads")));
-    std::vector<sim::SlotSimResult> trials(paths);
-    pool.run_blocks(paths,
-                    runner::resolve_block(
-                        static_cast<std::size_t>(p.get_int("block"))),
-                    [&](std::size_t begin, std::size_t end) {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        sim::SlotSimConfig cfg = base;
-                        cfg.seed = seeder.seed_for(i);
-                        trials[i] = sim::SlotSim(cfg).run();
-                      }
-                    });
+    const auto trials = run_slot_trials(p, std::move(base));
 
     RunningStats finalized, stalls, delivered, dropped;
     std::size_t leaks = 0;
@@ -1108,10 +1041,7 @@ void register_table1(ScenarioRegistry& r) {
       "Paper Table 1: the five analysed scenarios with their outcomes "
       "and a quantitative witness each, computed end to end; "
       "deterministic, paths/seed ignored");
-  spec.add_int("paths", "(ignored - deterministic scenario)", 1, 1, 1e9)
-      .add_int("seed", "(ignored - deterministic scenario)", 0)
-      .add_int("threads", "(ignored - deterministic scenario)", 0, 0, 1024)
-      .add_int("block", "(ignored - deterministic scenario)", 0, 0, 1e9);
+  add_ignored_run_params(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     (void)p;
     const auto cfg = analytic::AnalyticConfig::paper();

@@ -12,7 +12,9 @@
 // CI scenario-smoke job, the sweep engine's per-cell seeding — works
 // on every scenario without scenario-specific knowledge.
 // Deterministic analytic scenarios accept them and note that they are
-// ignored.
+// ignored.  Each spec declares them itself (builtins.cpp has one helper
+// for each kind) instead of the registry appending them, because
+// ParamSet order feeds the serve job id and the sweep cell fingerprint.
 #pragma once
 
 #include <functional>
@@ -49,7 +51,7 @@ class Scenario {
 class ScenarioRegistry {
  public:
   /// Register; throws std::invalid_argument on a duplicate name or a
-  /// spec missing the uniform paths/seed/threads parameters.
+  /// spec missing the uniform paths/seed/threads/block parameters.
   void add(ScenarioSpec spec, RunFn run);
 
   [[nodiscard]] const Scenario* find(std::string_view name) const;
@@ -61,10 +63,11 @@ class ScenarioRegistry {
   std::vector<std::unique_ptr<Scenario>> scenarios_;
 };
 
-/// The process-wide registry pre-loaded with the built-in scenarios
+/// The process-wide registry pre-loaded with the 13 built-in scenarios
 /// (bouncing-mc, attack-lifetime, population-ensemble,
 /// partition-trials, duty-cycle, recovery, slot-protocol, table1,
-/// balancing-attack, semiactive-sweep, multi-partition-recovery).
+/// balancing-attack, semiactive-sweep, multi-partition-recovery,
+/// cascading-partitions, flaky-network).
 /// Construct-on-first-use; safe to call from multiple threads after
 /// first use, but intended to be touched from main-thread setup code.
 [[nodiscard]] ScenarioRegistry& builtin_registry();

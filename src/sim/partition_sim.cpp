@@ -45,12 +45,6 @@ void validate(const PartitionSimConfig& cfg) {
           "entries (got " + std::to_string(cfg.windows.size()) + " for " +
           std::to_string(cfg.branches) + " branches)");
     }
-    if (cfg.heal_epoch != 0 || cfg.heal_stagger != 0) {
-      throw std::invalid_argument(
-          "run_partition_sim: windows and heal_epoch/heal_stagger are "
-          "mutually exclusive -- the window schedule is the single source "
-          "of truth");
-    }
     for (const BranchWindow& w : cfg.windows) {
       if (w.open_epoch < 1) {
         throw std::invalid_argument(
@@ -95,9 +89,8 @@ PartitionSimResult run_partition_core(
     ++res.n_honest_per_branch[b];
   }
 
-  // Per-branch open/heal epochs: the explicit window schedule when
-  // present, otherwise the legacy knobs (every branch opens at epoch 1
-  // and heals at heal_epoch + (b-1) * heal_stagger; heal 0 = never).
+  // Per-branch open/heal epochs from the window schedule; without one
+  // every branch opens at epoch 1 and never heals.
   // Branch b is frozen after its heal: from then on its honest class
   // attests on branch 0.  Before its open the branch does not exist
   // yet and its honest class also attests on branch 0.
@@ -107,11 +100,6 @@ PartitionSimResult run_partition_core(
     for (std::uint32_t b = 1; b < k; ++b) {
       open_at[b] = cfg.windows[b - 1].open_epoch;
       heal_at[b] = cfg.windows[b - 1].heal_epoch;
-    }
-  } else if (cfg.heal_epoch > 0) {
-    for (std::uint32_t b = 1; b < k; ++b) {
-      heal_at[b] = cfg.heal_epoch +
-                   static_cast<std::size_t>(b - 1) * cfg.heal_stagger;
     }
   }
   bool healing = false;
@@ -139,9 +127,9 @@ PartitionSimResult run_partition_core(
 
   // Late opens (and scheduled outages) make branch 0's finality
   // non-monotone: an open after finalization resumed strips active
-  // stake away and re-enters the leak.  Legacy configs (every branch
-  // open from epoch 1, no outages) never take the re-entry path, so
-  // they stay bit-identical.
+  // stake away and re-enters the leak.  Configs whose branches all
+  // open at epoch 1, without outages, never take the re-entry path, so
+  // they stay bit-identical to the two-branch simulator.
   bool cascading = !cfg.outages.empty();
   for (std::uint32_t b = 1; b < k; ++b) {
     cascading = cascading || open_at[b] > 1;
@@ -205,7 +193,7 @@ PartitionSimResult run_partition_core(
     const bool all_healed = healing && res.heal_complete_epoch >= 0;
 
     // Scheduled outages: the afflicted honest prefix sits out this
-    // epoch on every branch (empty for every legacy config).
+    // epoch on every branch (empty unless the schedule has outages).
     std::uint32_t outage_cut = 0;
     for (const OutageWindow& o : cfg.outages) {
       if (t >= o.from_epoch && t < o.from_epoch + o.span_epochs) {

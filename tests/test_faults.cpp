@@ -1,8 +1,8 @@
 // Tests for the fault-injection harness: strict JSON round-trip of
 // FaultSchedule (hostile inputs must fail fast with actionable
 // messages), the FaultDriver's two compilation directions, golden
-// bit-identity of the compiled legacy_partition schedules against the
-// legacy heal knobs, the cascading staggered-open arc vs the analytic
+// bit-identity of compiled heal schedules against the frozen scalar
+// partition oracle, the cascading staggered-open arc vs the analytic
 // recovery forms, and the p0-with-k-branches footgun.
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "src/faults/driver.hpp"
 #include "src/faults/schedule.hpp"
 #include "src/sim/partition_sim.hpp"
+#include "tests/oracles/scalar_oracles.hpp"
 
 namespace leak::faults {
 namespace {
@@ -259,13 +260,13 @@ TEST(FaultScheduleJson, LoadFileRoundTripsADumpedSchedule) {
 }
 
 TEST(FaultScheduleJson, FactoriesBuildValidTimelines) {
-  const auto legacy = FaultSchedule::legacy_partition(3, 2000, 500);
-  ASSERT_EQ(legacy.events.size(), 4u);
-  EXPECT_EQ(std::get<PartitionOpen>(legacy.events[0]).epoch, 1u);
-  EXPECT_EQ(std::get<PartitionOpen>(legacy.events[1]).epoch, 1u);
-  EXPECT_EQ(std::get<PartitionHeal>(legacy.events[2]).epoch, 2000u);
-  EXPECT_EQ(std::get<PartitionHeal>(legacy.events[3]).epoch, 2500u);
-  EXPECT_EQ(legacy.max_branch(), 2u);
+  const auto arc = FaultSchedule::staggered_partition(3, 0, 2000, 500);
+  ASSERT_EQ(arc.events.size(), 4u);
+  EXPECT_EQ(std::get<PartitionOpen>(arc.events[0]).epoch, 1u);
+  EXPECT_EQ(std::get<PartitionOpen>(arc.events[1]).epoch, 1u);
+  EXPECT_EQ(std::get<PartitionHeal>(arc.events[2]).epoch, 2000u);
+  EXPECT_EQ(std::get<PartitionHeal>(arc.events[3]).epoch, 2500u);
+  EXPECT_EQ(arc.max_branch(), 2u);
 
   const auto cascade = FaultSchedule::staggered_partition(3, 300, 2500, 500);
   ASSERT_EQ(cascade.events.size(), 4u);
@@ -284,11 +285,9 @@ TEST(FaultScheduleJson, FactoriesBuildValidTimelines) {
 // ---------------------------------------------------------------------------
 // FaultDriver: compile_partition
 
-TEST(FaultDriver, CompilePartitionPopulatesWindowsAndClearsLegacyKnobs) {
+TEST(FaultDriver, CompilePartitionPopulatesWindows) {
   sim::PartitionSimConfig cfg;
   cfg.n_validators = 120;
-  cfg.heal_epoch = 999;   // stale legacy knobs must be cleared
-  cfg.heal_stagger = 77;
   compile_partition(FaultSchedule::staggered_partition(3, 300, 2500, 500),
                     &cfg);
   EXPECT_EQ(cfg.branches, 3u);
@@ -297,13 +296,11 @@ TEST(FaultDriver, CompilePartitionPopulatesWindowsAndClearsLegacyKnobs) {
   EXPECT_EQ(cfg.windows[0].heal_epoch, 2500u);
   EXPECT_EQ(cfg.windows[1].open_epoch, 301u);
   EXPECT_EQ(cfg.windows[1].heal_epoch, 3000u);
-  EXPECT_EQ(cfg.heal_epoch, 0u);
-  EXPECT_EQ(cfg.heal_stagger, 0u);
   EXPECT_EQ(cfg.n_validators, 120u);  // untouched
 }
 
 TEST(FaultDriver, CompilePartitionCarriesOutages) {
-  FaultSchedule s = FaultSchedule::legacy_partition(2, 600, 0);
+  FaultSchedule s = FaultSchedule::staggered_partition(2, 0, 600, 0);
   s.events.push_back(ValidatorOutage{900, 150, 0.5});
   sim::PartitionSimConfig cfg;
   compile_partition(s, &cfg);
@@ -318,7 +315,7 @@ TEST(FaultDriver, CompilePartitionRejectsWeatherAndEmptySchedules) {
   EXPECT_THROW(compile_partition(FaultSchedule{}, &cfg),
                std::invalid_argument);
 
-  FaultSchedule weather = FaultSchedule::legacy_partition(2, 0, 0);
+  FaultSchedule weather = FaultSchedule::staggered_partition(2, 0, 0, 0);
   weather.events.push_back(LatencyEpisode{10.0, 2.0, LinkClass::kAll, 3.0});
   try {
     compile_partition(weather, &cfg);
@@ -355,7 +352,7 @@ TEST(FaultDriver, ApplyNetworkRejectsPartitionEventsAndBadScale) {
   net::NetworkConfig cfg;
   cfg.num_nodes = 1;
   try {
-    apply_network(FaultSchedule::legacy_partition(2, 0, 0), 384.0, &cfg);
+    apply_network(FaultSchedule::staggered_partition(2, 0, 0, 0), 384.0, &cfg);
     FAIL() << "applied a partition event to the network path";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("compile_partition"),
@@ -367,48 +364,9 @@ TEST(FaultDriver, ApplyNetworkRejectsPartitionEventsAndBadScale) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden bit-identity: legacy knobs vs the compiled schedule
+// Golden bit-identity: the compiled schedule vs the frozen scalar oracle
 
-void expect_same_result(const sim::PartitionSimResult& a,
-                        const sim::PartitionSimResult& b) {
-  ASSERT_EQ(a.branch.size(), b.branch.size());
-  for (std::size_t i = 0; i < a.branch.size(); ++i) {
-    const auto& x = a.branch[i];
-    const auto& y = b.branch[i];
-    EXPECT_EQ(x.supermajority_epoch, y.supermajority_epoch) << "branch " << i;
-    EXPECT_EQ(x.finalization_epoch, y.finalization_epoch) << "branch " << i;
-    EXPECT_EQ(x.beta_peak, y.beta_peak) << "branch " << i;
-    EXPECT_EQ(x.beta_peak_epoch, y.beta_peak_epoch) << "branch " << i;
-    EXPECT_EQ(x.honest_ejection_epoch, y.honest_ejection_epoch)
-        << "branch " << i;
-    EXPECT_EQ(x.healed_epoch, y.healed_epoch) << "branch " << i;
-    EXPECT_EQ(x.ratio_trajectory, y.ratio_trajectory) << "branch " << i;
-    EXPECT_EQ(x.beta_trajectory, y.beta_trajectory) << "branch " << i;
-  }
-  EXPECT_EQ(a.conflicting_finalization_epoch, b.conflicting_finalization_epoch);
-  EXPECT_EQ(a.beta_exceeded_third_both, b.beta_exceeded_third_both);
-  EXPECT_EQ(a.n_byzantine, b.n_byzantine);
-  EXPECT_EQ(a.n_honest_per_branch, b.n_honest_per_branch);
-  EXPECT_EQ(a.heal_complete_epoch, b.heal_complete_epoch);
-  EXPECT_EQ(a.recovery_complete_epoch, b.recovery_complete_epoch);
-  EXPECT_EQ(a.residual_loss_total_eth, b.residual_loss_total_eth);
-  ASSERT_EQ(a.recovery.size(), b.recovery.size());
-  for (std::size_t i = 0; i < a.recovery.size(); ++i) {
-    const auto& x = a.recovery[i];
-    const auto& y = b.recovery[i];
-    EXPECT_EQ(x.from_branch, y.from_branch);
-    EXPECT_EQ(x.class_size, y.class_size);
-    EXPECT_EQ(x.healed_epoch, y.healed_epoch);
-    EXPECT_EQ(x.return_epoch, y.return_epoch);
-    EXPECT_EQ(x.ejected_before_return, y.ejected_before_return);
-    EXPECT_EQ(x.score_at_return, y.score_at_return);
-    EXPECT_EQ(x.stake_at_return_eth, y.stake_at_return_eth);
-    EXPECT_EQ(x.residual_loss_eth, y.residual_loss_eth);
-    EXPECT_EQ(x.recovery_epochs, y.recovery_epochs);
-  }
-}
-
-TEST(FaultDriverGolden, LegacyKnobsAndCompiledScheduleAreBitIdentical) {
+TEST(FaultDriverGolden, CompiledScheduleMatchesScalarOracle) {
   struct Case {
     std::uint32_t branches;
     std::size_t heal_epoch;
@@ -416,41 +374,28 @@ TEST(FaultDriverGolden, LegacyKnobsAndCompiledScheduleAreBitIdentical) {
   };
   for (const Case c : {Case{2, 1200, 0}, Case{3, 1200, 300},
                        Case{4, 900, 200}}) {
-    sim::PartitionSimConfig legacy;
-    legacy.n_validators = 150;
-    legacy.max_epochs = 3000;
-    legacy.branches = c.branches;
-    legacy.heal_epoch = c.heal_epoch;
-    legacy.heal_stagger = c.heal_stagger;
-
-    sim::PartitionSimConfig compiled;
-    compiled.n_validators = 150;
-    compiled.max_epochs = 3000;
-    compile_partition(
-        FaultSchedule::legacy_partition(c.branches, c.heal_epoch,
-                                        c.heal_stagger),
-        &compiled);
-    ASSERT_EQ(compiled.branches, c.branches);
+    sim::PartitionTrialsConfig cfg;
+    cfg.base.n_validators = 150;
+    cfg.base.max_epochs = 3000;
+    compile_partition(FaultSchedule::staggered_partition(
+                          c.branches, 0, c.heal_epoch, c.heal_stagger),
+                      &cfg.base);
+    ASSERT_EQ(cfg.base.branches, c.branches);
+    cfg.trials = 4;
+    cfg.seed = 99;
 
     SCOPED_TRACE("branches=" + std::to_string(c.branches) +
                  " heal=" + std::to_string(c.heal_epoch) + "+" +
                  std::to_string(c.heal_stagger));
-    expect_same_result(sim::run_partition_sim(legacy),
-                       sim::run_partition_sim(compiled));
-
-    // The randomized-split trials must agree trial for trial too.
-    sim::PartitionTrialsConfig ta;
-    ta.base = legacy;
-    ta.trials = 4;
-    ta.seed = 99;
-    sim::PartitionTrialsConfig tb = ta;
-    tb.base = compiled;
-    const auto ra = sim::run_partition_trials(ta);
-    const auto rb = sim::run_partition_trials(tb);
-    EXPECT_EQ(ra.conflict_epochs, rb.conflict_epochs);
-    EXPECT_EQ(ra.beta_peaks, rb.beta_peaks);
-    EXPECT_EQ(ra.residual_losses_eth, rb.residual_losses_eth);
-    EXPECT_EQ(ra.recovery_epochs, rb.recovery_epochs);
+    const auto got = sim::run_partition_trials(cfg);
+    const auto want = oracle::run_partition_trials_scalar(cfg);
+    EXPECT_EQ(got.conflict_epochs, want.conflict_epochs);
+    EXPECT_EQ(got.beta_peaks, want.beta_peaks);
+    EXPECT_EQ(got.residual_losses_eth, want.residual_losses_eth);
+    EXPECT_EQ(got.recovery_epochs, want.recovery_epochs);
+    EXPECT_EQ(got.recovered_fraction, want.recovered_fraction);
+    EXPECT_EQ(got.mean_residual_loss_eth, want.mean_residual_loss_eth);
+    EXPECT_EQ(got.mean_recovery_epoch, want.mean_recovery_epoch);
   }
 }
 
@@ -494,14 +439,14 @@ TEST(FaultCascade, OutageReentersTheLeakAndDelaysRecovery) {
   sim::PartitionSimConfig plain;
   plain.n_validators = 150;
   plain.max_epochs = 4000;
-  compile_partition(FaultSchedule::legacy_partition(2, 600, 0), &plain);
+  compile_partition(FaultSchedule::staggered_partition(2, 0, 600, 0), &plain);
   const auto base = sim::run_partition_sim(plain);
   ASSERT_GT(base.recovery_complete_epoch, 600);
 
   // Same arc plus a half-cohort outage at 650, inside the drain
   // window: supermajority is lost mid-recovery, the leak re-enters,
   // and the full recovery can only complete after the outage lifts.
-  FaultSchedule s = FaultSchedule::legacy_partition(2, 600, 0);
+  FaultSchedule s = FaultSchedule::staggered_partition(2, 0, 600, 0);
   s.events.push_back(ValidatorOutage{650, 150, 0.5});
   sim::PartitionSimConfig cfg;
   cfg.n_validators = 150;

@@ -6,12 +6,13 @@ tools/update_baselines.sh), replay the archived experiment through
 
     leakctl run <scenario> --params <baseline.json>
 
-and compare the resulting `metrics` and `stats` sections against the
-baseline with EXACT equality.  The simulators are deterministic given
-(seed, params) and bit-identical for every threads/block combination,
-so any difference is either silent numeric drift or a bit-identity
-break in the batched Monte Carlo kernel — both of which this gate is
-meant to catch.  Metadata that legitimately varies per run (wall_ms,
+and compare the resulting `metrics` and `stats` sections (values and
+key order) and the per-trial `trials` table (columns and every row)
+against the baseline with EXACT equality.  The simulators are
+deterministic given (seed, params) and bit-identical for every
+threads/block combination, so any difference is either silent numeric
+drift, a reordered metric, or a bit-identity break in the batched
+Monte Carlo kernel — all of which this gate is meant to catch.  Metadata that legitimately varies per run (wall_ms,
 git describe, resolved thread count) is not compared.
 
 Caveat: exactness holds for one platform class.  Metrics that flow
@@ -40,6 +41,8 @@ def load(path):
 
 
 def diff_section(name, want, got, failures):
+    if list(want) != list(got):
+        failures.append(f"  {name}: key order {list(want)} != run {list(got)}")
     if want == got:
         return
     keys = sorted(set(want) | set(got))
@@ -47,6 +50,21 @@ def diff_section(name, want, got, failures):
         a, b = want.get(key), got.get(key)
         if a != b:
             failures.append(f"  {name}.{key}: baseline {a!r} != run {b!r}")
+
+
+def diff_trials(want, got, failures):
+    want, got = want or {}, got or {}
+    if want.get("columns") != got.get("columns"):
+        failures.append(f"  trials.columns: baseline {want.get('columns')!r}"
+                        f" != run {got.get('columns')!r}")
+        return
+    rows_a, rows_b = want.get("rows", []), got.get("rows", [])
+    if len(rows_a) != len(rows_b):
+        failures.append(f"  trials: baseline {len(rows_a)} rows != run "
+                        f"{len(rows_b)} rows")
+    for i, (a, b) in enumerate(zip(rows_a, rows_b)):
+        if a != b:
+            failures.append(f"  trials.rows[{i}]: baseline {a!r} != run {b!r}")
 
 
 def main():
@@ -79,6 +97,7 @@ def main():
                      got.get("metrics", {}), failures)
         diff_section("stats", want.get("stats", {}),
                      got.get("stats", {}), failures)
+        diff_trials(want.get("trials"), got.get("trials"), failures)
         if want.get("params") != got.get("params"):
             failures.append("  params: replay did not round-trip")
         if failures:
@@ -87,7 +106,8 @@ def main():
             print("\n".join(failures))
         else:
             n = len(want.get("metrics", {}))
-            print(f"ok   {scenario}: {n} metrics exact")
+            rows = len((want.get("trials") or {}).get("rows", []))
+            print(f"ok   {scenario}: {n} metrics, {rows} trial rows exact")
 
     if bad:
         print(f"{bad}/{len(baselines)} baselines drifted "

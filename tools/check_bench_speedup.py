@@ -3,13 +3,14 @@
 
 Two modes, both used by CI:
 
-Pair mode (the original interface) gates one baseline/candidate pair —
-the bench-smoke job runs it on bench_fig9_stake_distribution:
+Pair mode gates one baseline/candidate pair — the bench-smoke job runs
+it as the slot-simulator horizon gate on bench_table1_scenarios
+(doubling the balancing-attack horizon may at most triple the time):
 
     check_bench_speedup.py REPORT.json \
-        --baseline BM_MonteCarloScalarRef \
-        --candidate 'BM_MonteCarloBlockSize/64' \
-        [--min-ratio 1.1]
+        --baseline BM_SlotSimBalancingEpoch/16 \
+        --candidate BM_SlotSimBalancingEpoch/32 \
+        --min-ratio 0.67
 
 Driver mode gates the whole per-driver table emitted by
 bench_kernel_speedup: every Monte Carlo driver's batched kernel must
